@@ -119,7 +119,7 @@ def _run_trial(
             flow_err = ver.pcc_flow_error
             if std.optimal and np.isfinite(pp_ver):
                 gap = (pp_ver - std_obj) / std_obj * 100.0
-    except Exception as exc:  # solver failures are data, not crashes
+    except np.linalg.LinAlgError as exc:  # a numerical failure is data; a bug propagates
         statuses["error"] = f"{type(exc).__name__}: {exc}"
 
     return TrialRecord(

@@ -407,6 +407,8 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
 
     dg_charts = {}
     for lineno, ds_id, dg_id, vals in chart_rows:
+        if not 1 <= dg_id <= len(gens):
+            raise CaseFormatError(f"line {lineno}: unknown DG {dg_id} (case has {len(gens)})")
         try:
             verts = list(zip(vals[0::2], vals[1::2]))
             dg_charts[(ds_id, dg_id)] = polygon_from_vertices(verts)
@@ -417,7 +419,10 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     for lineno, ds_id, ds_bus, ts_bus, order in pcc_rows:
         if ds_bus not in bus_ids:
             raise CaseFormatError(f"line {lineno}: unknown bus {ds_bus}")
-        pcc_map.setdefault(ds_id, []).append((order, ds_bus, ts_bus))
+        rows = pcc_map.setdefault(ds_id, [])
+        if any(ds_bus == seen for _, seen, _ in rows):
+            raise CaseFormatError(f"line {lineno}: DS {ds_id} lists bus {ds_bus} twice")
+        rows.append((order, ds_bus, ts_bus))
     pcc_final = {
         ds: tuple((d, t) for _, d, t in sorted(rows)) for ds, rows in pcc_map.items()
     }
@@ -525,7 +530,10 @@ def build_integrated(
             couplings = pcc_map[ds_id]
         id_of: dict[int, int] = {}
         for ds_bus, ts_bus in couplings:
-            ts_b = ts.bus(ts_bus)
+            try:
+                ts_b = ts.bus(ts_bus)
+            except KeyError:
+                raise ValueError(f"DS {ds_id}: unknown TS bus {ts_bus}") from None
             if ts_b.kind != "pcc":
                 raise ValueError(f"TS bus {ts_bus} is not a pcc bus")
             if ts_b.p_d != 0 or ts_b.q_d != 0:

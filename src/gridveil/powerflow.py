@@ -4,6 +4,9 @@ The solver is dense and polar, sized for networks of a few hundred buses.
 Any number of buses may be declared fixed (voltage magnitude and angle held),
 which is how a distribution case is driven from its coupling points: every
 PCC bus becomes a voltage source at the sampled magnitude and zero angle.
+``ds_response`` labels one such operating point; ``ds_response_batch`` runs
+the same Newton iterates for a block of points with one stacked solve per
+iteration, after MATPOWER's vectorised ``newtonpf``/``dSbus_dV``.
 """
 
 from __future__ import annotations
@@ -228,3 +231,167 @@ def ds_response(
         p_pcc[u] = -(res.s_inj[i].real + b.p_d)
         q_pcc[u] = -(res.s_inj[i].imag + b.q_d)
     return DsResponse(rep.ok, 0 if rep.ok else 1, p_pcc, q_pcc, True, res.v, rep)
+
+
+@dataclass(frozen=True)
+class DsTables:
+    """Per-case constants of the batched DS response (see ``ds_tables``)."""
+
+    ybus: np.ndarray  # (n, n)
+    fixed: np.ndarray  # bus indices of the PCCs, in pcc_map order
+    free: np.ndarray  # every other bus: angle and magnitude free
+    jr: np.ndarray  # nonzero pattern (jr, jc) of Y_ff, free-bus positions,
+    jc: np.ndarray  # with the whole diagonal included
+    y_nz: np.ndarray  # conj(Y_ff) on the pattern
+    diag_nz: np.ndarray  # pattern positions of the diagonal, in free-bus order
+    jac_pos: np.ndarray  # flat Jacobian positions of the pattern in J11, J12, J21, J22
+    s_load: np.ndarray  # (n,) -(p_d + j q_d), MVA
+    gen_inc: np.ndarray  # (n_gen, n) generator-to-bus incidence
+    v_min: np.ndarray
+    v_max: np.ndarray
+    yf: np.ndarray  # (n_rated, n) from/to admittance rows of rated closed branches
+    yt: np.ndarray
+    fidx: np.ndarray
+    tidx: np.ndarray
+    s_max: np.ndarray
+    base_mva: float
+
+
+def ds_tables(case: NetworkCase) -> DsTables:
+    """Bus split, admittances, generator incidence and limits of a single-DS case."""
+    if len(case.pcc_map) != 1:
+        raise ValueError("ds_response_batch expects a single-DS case")
+    couplings = next(iter(case.pcc_map.values()))
+    fixed = np.array([case.bus_index(ds_bus) for ds_bus, _ in couplings])
+    free = np.setdiff1d(np.arange(case.n_bus), fixed)
+    ybus = case.ybus
+    y_ff = ybus[np.ix_(free, free)]
+    m = len(free)
+    jr, jc = np.nonzero((y_ff != 0) | np.eye(m, dtype=bool))
+    jac_pos = np.concatenate(
+        [(jr + bi * m) * 2 * m + jc + bj * m for bi in (0, 1) for bj in (0, 1)]
+    )
+    yf, yt, fidx, tidx = branch_admittances(case)
+    rated = np.array([bool(br.status) and br.s_max > 0 for br in case.branches], dtype=bool)
+    return DsTables(
+        ybus=ybus,
+        fixed=fixed,
+        free=free,
+        jr=jr,
+        jc=jc,
+        y_nz=np.conj(y_ff[jr, jc]),
+        diag_nz=np.flatnonzero(jr == jc),
+        jac_pos=jac_pos,
+        s_load=np.array([complex(-b.p_d, -b.q_d) for b in case.buses]),
+        gen_inc=case.gen_incidence().T,
+        v_min=np.array([b.v_min for b in case.buses]),
+        v_max=np.array([b.v_max for b in case.buses]),
+        yf=yf[rated],
+        yt=yt[rated],
+        fidx=fidx[rated],
+        tidx=tidx[rated],
+        s_max=np.array([br.s_max for br in case.branches])[rated],
+        base_mva=case.base_mva,
+    )
+
+
+def _newton_steps(jac: np.ndarray, f: np.ndarray):
+    """Stacked Newton steps; a singular row gets NaN steps and ok False."""
+    try:
+        return np.linalg.solve(jac, f[..., None])[..., 0], np.ones(len(f), dtype=bool)
+    except np.linalg.LinAlgError:
+        dx = np.full_like(f, np.nan)
+        ok = np.ones(len(f), dtype=bool)
+        for k in range(len(f)):
+            try:
+                dx[k] = np.linalg.solve(jac[k], f[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return dx, ok
+
+
+def ds_response_batch(case: NetworkCase, x: np.ndarray, tables: DsTables | None = None):
+    """``ds_response`` for a block of operating points at once.
+
+    Row k of x is (v_pcc_1..r, p_dg_1..n, q_dg_1..n).  Every row runs the same
+    polar Newton iterates as ``newton_pf`` from a flat start, with its default
+    tol 1e-8 and max_iter 30 as ``ds_response`` uses them, but the block
+    shares one mismatch product and one stacked solve per iteration; a row
+    stops at its own outcome (converged, non-finite mismatch, singular
+    Jacobian, or max_iter).  Limits are checked as in ``check_limits``.
+
+    tables: ``ds_tables(case)``, passed in to reuse it across blocks.
+    Returns (label, p_pcc, q_pcc): labels 0/1 and export flows in MW/MVAr,
+    NaN on every infeasible row.
+    """
+    tol, max_iter = 1e-8, 30
+    t = ds_tables(case) if tables is None else tables
+    x = np.asarray(x, dtype=float)
+    r, n_gen = len(t.fixed), t.gen_inc.shape[0]
+    if x.ndim != 2 or x.shape[1] != r + 2 * n_gen:
+        raise ValueError(f"expected rows of {r} PCC voltages and 2 x {n_gen} DG setpoints")
+    nb, fr = len(x), t.free
+    m = len(fr)
+
+    s_spec = (t.s_load + (x[:, r : r + n_gen] + 1j * x[:, r + n_gen :]) @ t.gen_inc) / t.base_mva
+    v_fix = x[:, :r].astype(complex)
+    vm = np.ones((nb, case.n_bus))
+    va = np.zeros((nb, case.n_bus))
+    vm[:, t.fixed] = np.abs(v_fix)
+    va[:, t.fixed] = np.angle(v_fix)
+
+    def evaluate(rows):
+        v = vm[rows] * np.exp(1j * va[rows])
+        ibus = v @ t.ybus.T
+        ds = (v * np.conj(ibus) - s_spec[rows])[:, fr]
+        f = np.concatenate([ds.real, ds.imag], axis=1)
+        return v, ibus, f, np.max(np.abs(f), axis=1, initial=0.0)
+
+    v, ibus, f, norm = evaluate(slice(None))
+    failed = ~np.isfinite(norm)
+    active = np.flatnonzero(norm > tol)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        # the free x free blocks of dSbus_dV on the pattern of Y_ff, all
+        # active rows at once: with A = diag(V) conj(Ybus) diag(conj V),
+        # dS/dVa = j (diag(V conj I) - A), dS/dVm = A diag(1/|V|) + diag(conj(I) V/|V|)
+        vf, i_f = v[active][:, fr], ibus[active][:, fr]
+        vmag = np.abs(vf)
+        a = vf[:, t.jr] * t.y_nz * np.conj(vf[:, t.jc])
+        a_vm = a / vmag[:, t.jc]
+        d_va = vf * np.conj(i_f)
+        d_vm = np.conj(i_f) * vf / vmag
+        vals = np.concatenate([a.imag, a_vm.real, -a.real, a_vm.imag], axis=1)
+        nnz, dg = len(t.jr), t.diag_nz
+        vals[:, dg] -= d_va.imag
+        vals[:, nnz + dg] += d_vm.real
+        vals[:, 2 * nnz + dg] += d_va.real
+        vals[:, 3 * nnz + dg] += d_vm.imag
+        jac = np.zeros((len(active), 4 * m * m))
+        jac[:, t.jac_pos] = vals
+
+        dx, ok = _newton_steps(jac.reshape(-1, 2 * m, 2 * m), f[active])
+        failed[active[~ok]] = True
+        active, dx = active[ok], dx[ok]
+        va[active[:, None], fr] -= dx[:, :m]
+        vm[active[:, None], fr] -= dx[:, m:]
+        v[active], ibus[active], f[active], norm[active] = evaluate(active)
+        diverged = ~np.isfinite(norm[active])
+        failed[active[diverged]] = True
+        active = active[~diverged & (norm[active] > tol)]
+
+    ok = ~failed & (norm <= tol)
+    vm_all = np.abs(v)
+    v_err = np.maximum(t.v_min - vm_all, vm_all - t.v_max)
+    ok &= np.all(v_err <= 1e-9, axis=1)
+    sf = v[:, t.fidx] * np.conj(v @ t.yf.T) * t.base_mva
+    st = v[:, t.tidx] * np.conj(v @ t.yt.T) * t.base_mva
+    s_end = np.maximum(np.abs(sf), np.abs(st))
+    ok &= np.all(s_end - t.s_max <= 1e-9 * np.maximum(1.0, t.s_max), axis=1)
+
+    # net injection at a fixed bus is the import supplied from outside the case
+    s_inj = v[:, t.fixed] * np.conj(ibus[:, t.fixed]) * t.base_mva
+    p_pcc = np.where(ok[:, None], -(s_inj.real - t.s_load[t.fixed].real), np.nan)
+    q_pcc = np.where(ok[:, None], -(s_inj.imag - t.s_load[t.fixed].imag), np.nan)
+    return np.where(ok, 0, 1).astype(np.int8), p_pcc, q_pcc

@@ -430,17 +430,37 @@ def _check_keys(d: dict, allowed: set, required: set, where: str):
     _require(not missing, f"{where}: missing field(s) {sorted(missing)}")
 
 
+def _require_finite(value, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise BundleSchemaError(f"{where}: expected numbers") from None
+    _require(bool(np.all(np.isfinite(arr))), f"{where}: non-finite value")
+    return arr
+
+
 def validate_bundle_dict(d: dict) -> None:
-    """Whitelist schema check; raises BundleSchemaError on any foreign field."""
+    """Whitelist schema check; raises BundleSchemaError on any foreign field.
+
+    Every number must be finite and the box nonempty, so a corrupt bundle is
+    refused here instead of surfacing as an infeasible coupled solve.
+    """
     _check_keys(d, _BUNDLE_KEYS, _BUNDLE_KEYS - {"meta", "charts"}, "bundle")
     n_pcc, n_dg = int(d["n_pcc"]), int(d["n_dg"])
     n_x = n_pcc + 2 * n_dg
     _require(n_pcc >= 1 and n_dg >= 0, "bundle: bad counts")
     _require(len(d["x_min"]) == n_x and len(d["x_max"]) == n_x, "bundle: x bounds length != n_x")
+    x_min = _require_finite(d["x_min"], "x_min")
+    x_max = _require_finite(d["x_max"], "x_max")
+    empty = np.flatnonzero(x_min >= x_max)
+    if empty.size:
+        raise BundleSchemaError(f"x_min: x_min[{empty[0]}] >= x_max[{empty[0]}]")
     _check_keys(d["fr"], _FR_KEYS, _FR_KEYS, "fr")
     w = d["fr"]["W"]
     _require(len(w) >= 1 and all(len(row) == n_x for row in w), "fr: W must be n_h x n_x")
     _require(len(d["fr"]["b"]) == len(w), "fr: b length != n_h")
+    _require_finite(w, "fr.W")
+    _require_finite(d["fr"]["b"], "fr.b")
     _require(len(d["pcc"]) == n_pcc, "pcc: one entry per PCC required")
     for u, entry in enumerate(d["pcc"]):
         _check_keys(entry, _PCC_KEYS, _PCC_KEYS, f"pcc[{u}]")
@@ -453,6 +473,8 @@ def validate_bundle_dict(d: dict) -> None:
                 f"pcc[{u}].{key}: A must be n_x x n_x",
             )
             _require(len(qd["b"]) == n_x, f"pcc[{u}].{key}: b length != n_x")
+            for part in ("A", "b", "c"):
+                _require_finite(qd[part], f"pcc[{u}].{key}.{part}")
     if "charts" in d:
         _require(len(d["charts"]) in (0, n_dg), "charts: need one vertex list per DG")
         for k, verts in enumerate(d["charts"]):
@@ -460,9 +482,11 @@ def validate_bundle_dict(d: dict) -> None:
                 len(verts) >= 3 and all(len(v) == 2 for v in verts),
                 f"charts[{k}]: need >=3 (p,q) vertices",
             )
+            _require_finite(verts, f"charts[{k}]")
     _require(len(d["costs"]) == n_dg, "costs: one entry per DG required")
     for k, cd in enumerate(d["costs"]):
         _check_keys(cd, _COST_KEYS, _COST_KEYS, f"costs[{k}]")
+        _require_finite([cd["a"], cd["b"], cd["c"]], f"costs[{k}]")
     if "meta" in d:
         _require(isinstance(d["meta"], dict), "meta: expected an object")
         for k, v in d["meta"].items():

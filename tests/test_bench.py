@@ -69,6 +69,11 @@ def test_benchmark_requires_merge_metadata(ts30, quick_bundles):
         run_benchmark(ts30, ts30, quick_bundles, n_trials=1, seed=0)
 
 
+def test_benchmark_propagates_programming_errors(integrated, ts30, quick_bundles):
+    with pytest.raises(AttributeError):
+        run_benchmark(integrated, ts30, quick_bundles, n_trials=1, seed=1, opts="not-options")
+
+
 def test_trials_complete_and_ordered(report2):
     assert [t.trial_id for t in report2.trials] == [0, 1]
     for t in report2.trials:

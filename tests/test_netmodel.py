@@ -61,6 +61,26 @@ def test_duplicate_bus_rejected():
         parse_case(text)
 
 
+def test_chart_for_unknown_dg_rejected(ds1):
+    text = serialize_case(ds1) + "dgchart 1 7 0 0 1 0 1 1\n"
+    n_lines = text.count("\n")
+    with pytest.raises(CaseFormatError, match=f"line {n_lines}: unknown DG 7"):
+        parse_case(text)
+
+
+def test_pcc_bus_listed_twice_rejected(ds1):
+    text = serialize_case(ds1) + "pcc 1 1 999 2\n"
+    n_lines = text.count("\n")
+    with pytest.raises(CaseFormatError, match=f"line {n_lines}: DS 1 lists bus 1 twice"):
+        parse_case(text)
+
+
+def test_build_integrated_names_unknown_ts_bus(ts30, ds1):
+    bad = dataclasses.replace(ds1, pcc_map={1: ((1, 999),)})
+    with pytest.raises(ValueError, match="unknown TS bus 999"):
+        build_integrated(ts30, [bad])
+
+
 # ------------------------------------------------------------- admittance
 
 

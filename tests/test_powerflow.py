@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 
 from gridveil.netmodel import parse_case
 from gridveil.powerflow import (
+    _newton_steps,
     check_limits,
     dSbus_dV,
     ds_response,
+    ds_response_batch,
+    ds_tables,
     line_flows,
     newton_pf,
 )
@@ -225,3 +230,76 @@ def test_ds_response_rejects_bad_shapes(ds1):
         ds_response(ds1, np.array([1.0, 1.0]), np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         ds_response(ds1, np.array([1.0]), np.zeros(3), np.zeros(3))
+
+
+# -------------------------------------------------------- ds_response_batch
+
+
+def test_ds_response_batch_matches_scalar_row_by_row(ds1):
+    # rate the root branch below the feeder's full import, so the block holds
+    # feasible rows, a voltage-band break, a rating break and a diverging row
+    branches = list(ds1.branches)
+    branches[0] = dataclasses.replace(branches[0], s_max=1.5)
+    case = dataclasses.replace(ds1, branches=branches, _ybus=None, _index=None)
+    x = np.array(
+        [
+            [1.00, 0.5, 0.0],
+            [1.02, 1.0, 0.3],
+            [1.00, 1e5, 1e5],  # cannot converge
+            [1.05, 1.5, 1.0],  # overvoltage
+            [1.00, 0.0, 0.0],  # root import above its rating
+            [1.01, 1.2, -0.2],
+        ]
+    )
+    label, p, q = ds_response_batch(case, x)
+    refs = [ds_response(case, row[:1], row[1:2], row[2:]) for row in x]
+    assert [r.label for r in refs] == list(label)
+    assert not refs[2].converged
+    assert refs[3].converged and refs[3].report.v_violations
+    assert refs[4].converged and refs[4].report.flow_violations
+    for i, ref in enumerate(refs):
+        if ref.feasible:
+            assert np.max(np.abs(ref.p_pcc - p[i])) <= 1e-10
+            assert np.max(np.abs(ref.q_pcc - q[i])) <= 1e-10
+        else:
+            assert np.all(np.isnan(p[i])) and np.all(np.isnan(q[i]))
+    assert set(label) == {0, 1}
+
+    # the diverging row leaves the rest of its block alone
+    keep = [0, 1, 3, 4, 5]
+    label_k, p_k, q_k = ds_response_batch(case, x[keep], ds_tables(case))
+    assert np.array_equal(label_k, label[keep])
+    assert np.allclose(p_k, p[keep], rtol=0, atol=1e-10, equal_nan=True)
+    assert np.allclose(q_k, q[keep], rtol=0, atol=1e-10, equal_nan=True)
+
+
+def test_ds_response_batch_two_pccs_matches_scalar(ds2):
+    rng = np.random.default_rng(3)
+    x = np.column_stack(
+        [rng.uniform(0.97, 1.03, (20, 2)), rng.uniform(0, 1.5, (20, 5)), rng.uniform(-0.5, 0.5, (20, 5))]
+    )
+    label, p, q = ds_response_batch(ds2, x)
+    for i, row in enumerate(x):
+        ref = ds_response(ds2, row[:2], row[2:7], row[7:])
+        assert ref.label == label[i]
+        if ref.feasible:
+            assert np.max(np.abs(ref.p_pcc - p[i])) <= 1e-10
+            assert np.max(np.abs(ref.q_pcc - q[i])) <= 1e-10
+
+
+def test_ds_response_batch_rejects_bad_shapes(ds1):
+    with pytest.raises(ValueError):
+        ds_response_batch(ds1, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        ds_response_batch(ds1, np.ones(3))
+
+
+def test_newton_steps_solve_singular_rows_one_by_one():
+    rng = np.random.default_rng(0)
+    jac = rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
+    jac[1] = 0.0
+    f = rng.normal(size=(3, 4))
+    dx, ok = _newton_steps(jac, f)
+    assert list(ok) == [True, False, True]
+    for k in (0, 2):
+        assert np.allclose(jac[k] @ dx[k], f[k])

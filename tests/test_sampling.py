@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridveil.powerflow import ds_response
 from gridveil.sampling import (
+    BLOCK_ROWS,
     chart_mask,
     csv_header,
     generate_dataset,
@@ -128,12 +129,15 @@ def test_generate_dataset_labels_and_flows(ds3):
 
 
 def test_generate_dataset_worker_count_invariance(ds1):
-    a = generate_dataset(ds1, 120, seed=9, jobs=1)
-    b = generate_dataset(ds1, 120, seed=9, jobs=3)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.label, b.label)
-    assert np.array_equal(a.p_pcc, b.p_pcc, equal_nan=True)
-    assert np.array_equal(a.q_pcc, b.q_pcc, equal_nan=True)
+    # ds1 has no charts, so all 121 rows are labelled and the last block is short
+    assert 121 % BLOCK_ROWS
+    a = generate_dataset(ds1, 121, seed=9, jobs=1)
+    for jobs in (2, 3):
+        b = generate_dataset(ds1, 121, seed=9, jobs=jobs)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.label, b.label)
+        assert np.array_equal(a.p_pcc, b.p_pcc, equal_nan=True)
+        assert np.array_equal(a.q_pcc, b.q_pcc, equal_nan=True)
 
 
 def test_generate_dataset_all_feasible_when_unconstrained(ds1):
@@ -178,6 +182,19 @@ def test_csv_round_trip_is_bitwise(ds1, tmp_path):
     write_csv(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads((tmp_path / "a.csv.meta.json").read_text()) == ds.meta
+
+
+def test_csv_bytes_match_per_cell_formatting(ds2, tmp_path):
+    ds = generate_dataset(ds2, 60, seed=4)
+    assert np.any(np.isnan(ds.p_pcc)) and np.any(ds.label == 0)
+    lines = [csv_header(ds.names, ds.n_pcc)]
+    for i in range(ds.n):
+        cells = ["%.17g" % v for v in ds.x[i]] + [str(int(ds.label[i]))]
+        cells += ["%.17g" % v for v in ds.p_pcc[i]] + ["%.17g" % v for v in ds.q_pcc[i]]
+        lines.append(",".join(cells))
+    path = tmp_path / "d.csv"
+    write_csv(path, ds)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_header_errors(ds1, tmp_path):

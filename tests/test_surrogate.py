@@ -403,6 +403,17 @@ def good_dict(rng, tmp_path):
         (lambda d: d.update(meta={"nested": {"a": 1}}), "flat scalar entries only"),
         (lambda d: d.update(meta={"rows": [1, 2]}), "flat scalar entries only"),
         (lambda d: d.update(charts=[[[0.0, 0.0], [1.0, 0.0]]]), "need >=3"),
+        (lambda d: d["fr"]["W"][0].__setitem__(0, float("nan")), r"fr\.W: non-finite"),
+        (lambda d: d["fr"]["b"].__setitem__(2, float("inf")), r"fr\.b: non-finite"),
+        (lambda d: d["x_min"].__setitem__(1, float("-inf")), "x_min: non-finite"),
+        (lambda d: d["x_max"].__setitem__(0, float("nan")), "x_max: non-finite"),
+        (lambda d: d["pcc"][0]["q"]["A"][1].__setitem__(2, float("nan")), r"pcc\[0\]\.q\.A: non-finite"),
+        (lambda d: d["pcc"][0]["p"]["b"].__setitem__(0, float("inf")), r"pcc\[0\]\.p\.b: non-finite"),
+        (lambda d: d["pcc"][0]["p"].update(c=float("nan")), r"pcc\[0\]\.p\.c: non-finite"),
+        (lambda d: d["charts"][0][1].__setitem__(0, float("nan")), r"charts\[0\]: non-finite"),
+        (lambda d: d["costs"][0].update(b=float("inf")), r"costs\[0\]: non-finite"),
+        (lambda d: d["costs"][0].update(a="cheap"), r"costs\[0\]: expected numbers"),
+        (lambda d: d.update(x_min=d["x_max"][:1] + d["x_min"][1:]), r"x_min\[0\] >= x_max\[0\]"),
     ],
 )
 def test_bundle_schema_rejections(rng, tmp_path, mutate, msg):
@@ -419,6 +430,17 @@ def test_import_rejects_corrupted_file(rng, tmp_path):
     bad.write_text(json.dumps(d))
     with pytest.raises(BundleSchemaError):
         import_bundle(bad)
+
+
+def test_import_rejects_nan_facet(quick_bundles, tmp_path):
+    # Python's JSON reader admits NaN, so the check must not rely on the parser
+    path = tmp_path / "ds1.json"
+    export_bundle(quick_bundles[1], path)
+    d = json.loads(path.read_text())
+    d["fr"]["W"][0][0] = float("nan")
+    path.write_text(json.dumps(d))
+    with pytest.raises(BundleSchemaError, match=r"fr\.W: non-finite value"):
+        import_bundle(path)
 
 
 def test_export_refuses_foreign_meta(rng, tmp_path):
