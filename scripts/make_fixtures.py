@@ -348,18 +348,13 @@ def build_all() -> dict[str, NetworkCase]:
 
 def probe_feasible_fraction(case: NetworkCase, n: int, seed: int = 7) -> float:
     from gridveil.sampling import sample_space
-    from gridveil.powerflow import ds_response
+    from gridveil.powerflow import ds_response_batch
 
     space = sample_space(case)
     rng = np.random.default_rng(seed)
     x = rng.uniform(space.x_min, space.x_max, (n, space.n_x))
-    r = space.n_pcc
-    ng = case.n_gen
-    ok = 0
-    for row in x:
-        resp = ds_response(case, row[:r], row[r : r + ng], row[r + ng :])
-        ok += resp.feasible
-    return ok / n
+    label, _, _ = ds_response_batch(case, x)
+    return int(np.sum(label == 0)) / n
 
 
 def main():

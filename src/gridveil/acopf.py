@@ -5,11 +5,11 @@ integrated case over x = (theta, vm, p_g, q_g) in per unit: bus power balance
 as equalities, squared apparent-power line limits as inequalities, operating
 ranges as box bounds, quadratic generation cost as the objective.
 solve_nlp is a dense primal-dual interior-point method in the MATPOWER/MIPS
-mold, with exact analytic Hessians supplied by the assemblers (a damped BFGS
-approximation is used for problems that do not provide one).
+mold, driven by the exact analytic Lagrangian Hessian that every problem
+supplies.
 
-The same NlpProblem container and solver also host the reduced
-privacy-preserving formulation (see the ppopf module).
+The privacy-preserving formulation (see the ppopf module) is this standard
+problem over the transmission case, extended by surrogate blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import CostPoly, NetworkCase, PQChart
+from .netmodel import NetworkCase, PQChart, branch_admittances
 from .powerflow import dSbus_dV
 
 
@@ -38,31 +38,16 @@ class BranchSet:
     """
 
     def __init__(self, case: NetworkCase):
-        rated = [
-            (i, br) for i, br in enumerate(case.branches) if br.status and br.s_max > 0
-        ]
-        n = case.n_bus
-        nl = len(rated)
-        self.n_rows = 2 * nl
-        self.limit_sq = np.empty(2 * nl)
-        self.yb = np.zeros((2 * nl, n), dtype=complex)  # from-end rows, then to-end
-        self.cidx = np.empty(2 * nl, dtype=int)  # metered bus per row
-        self.branch_index = np.array([i for i, _ in rated], dtype=int)
-        for k, (_, br) in enumerate(rated):
-            f = case.bus_index(br.from_bus)
-            t = case.bus_index(br.to_bus)
-            ys = 1.0 / complex(br.r, br.x)
-            bc = 1j * br.b_sh / 2.0
-            tau = br.tap if br.tap not in (0.0, 0) else 1.0
-            self.yb[k, f] = (ys + bc) / tau**2
-            self.yb[k, t] = -ys / tau
-            self.yb[nl + k, f] = -ys / tau
-            self.yb[nl + k, t] = ys + bc
-            self.cidx[k] = f
-            self.cidx[nl + k] = t
-            lim = (br.s_max / case.base_mva) ** 2
-            self.limit_sq[k] = lim
-            self.limit_sq[nl + k] = lim
+        yf, yt, fidx, tidx = branch_admittances(case)
+        rated = case.branch_table.rated
+        self.branch_index = np.flatnonzero(rated)
+        self.n_rows = 2 * len(self.branch_index)
+        self.yb = np.vstack([yf[rated], yt[rated]])  # from-end rows, then to-end
+        self.cidx = np.concatenate([fidx[rated], tidx[rated]])  # metered bus per row
+        self.c_rows = np.zeros_like(self.yb)  # incidence of the metered bus
+        self.c_rows[np.arange(self.n_rows), self.cidx] = 1.0
+        lim = [(case.branches[i].s_max / case.base_mva) ** 2 for i in self.branch_index]
+        self.limit_sq = np.array(lim + lim, dtype=float)
 
     def flows(self, v: np.ndarray) -> np.ndarray:
         return v[self.cidx] * np.conj(self.yb @ v)
@@ -72,15 +57,13 @@ class BranchSet:
         vnorm = v / np.abs(v)
         ib = self.yb @ v
         vc = v[self.cidx]
-        c_rows = np.zeros_like(self.yb)
-        c_rows[np.arange(len(self.cidx)), self.cidx] = 1.0
         ds_dva = 1j * (
-            np.conj(ib)[:, None] * c_rows * v[None, :]
+            np.conj(ib)[:, None] * self.c_rows * v[None, :]
             - vc[:, None] * np.conj(self.yb * v[None, :])
         )
         ds_dvm = vc[:, None] * np.conj(self.yb * vnorm[None, :]) + np.conj(ib)[
             :, None
-        ] * c_rows * vnorm[None, :]
+        ] * self.c_rows * vnorm[None, :]
         return ds_dva, ds_dvm
 
     def sq_constraints(self, v: np.ndarray):
@@ -98,9 +81,7 @@ class BranchSet:
         ds_dva, ds_dvm = self.flow_jacobian(v)
         lam = np.conj(s) * mu
         # second derivative of lam . S, split into the four polar blocks
-        c_rows = np.zeros_like(self.yb)
-        c_rows[np.arange(len(self.cidx)), self.cidx] = 1.0
-        a = self.yb.conj().T @ (lam[:, None] * c_rows)
+        a = self.yb.conj().T @ (lam[:, None] * self.c_rows)
         dv = np.conj(v)
         b = dv[:, None] * a * v[None, :]
         d = np.diag((a @ v) * dv)
@@ -148,18 +129,17 @@ class NlpProblem:
     """min f(x) s.t. g(x)=0, h(x)<=0, lb<=x<=ub, all callbacks smooth.
 
     objective(x) -> (f, grad); equalities/inequalities(x) -> (values, dense
-    Jacobian); lag_hess(x, sigma, lam, mu) -> sigma*d2f + d2g.lam + d2h.mu, or
-    None to let the solver fall back to damped BFGS.  var_slices names the
-    blocks of x for unpacking and reporting.
+    Jacobian); lag_hess(x, sigma, lam, mu) -> sigma*d2f + d2g.lam + d2h.mu.
+    var_slices names the blocks of x for unpacking and reporting.
     """
 
     x0: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     objective: Callable
+    lag_hess: Callable
     equalities: Callable | None = None
     inequalities: Callable | None = None
-    lag_hess: Callable | None = None
     var_slices: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -191,12 +171,12 @@ def append_linear_inequalities(problem: NlpProblem, a_new: np.ndarray, b_new: np
         return np.concatenate([h0, hv]), np.vstack([j0, jv])
 
     old_hess = problem.lag_hess
-    if old_hess is not None:
-        # linear rows contribute no curvature
-        def lag_hess(x, sigma, lam, mu):
-            return old_hess(x, sigma, lam, mu[: len(mu) - len(b_new)])
 
-        problem.lag_hess = lag_hess
+    # linear rows contribute no curvature
+    def lag_hess(x, sigma, lam, mu):
+        return old_hess(x, sigma, lam, mu[: len(mu) - len(b_new)])
+
+    problem.lag_hess = lag_hess
     problem.inequalities = inequalities
     return problem
 
@@ -326,26 +306,26 @@ def assemble_polygon_extension(problem: NlpProblem, charts: list[PQChart]) -> Nl
         raise ValueError(f"expected {len(dg_gens)} charts, got {len(charts)}")
     if not charts:
         return problem
-    base = problem.meta["base_mva"]
-    i_pg = problem.var_slices["pg"]
-    i_qg = problem.var_slices["qg"]
-    rows = []
-    rhs = []
-    for g, chart in zip(dg_gens, charts):
-        for (ap, aq), b in zip(chart.a_pq, chart.b_pq):
-            row = np.zeros(problem.n)
-            row[i_pg.start + g] = ap * base
-            row[i_qg.start + g] = aq * base
-            rows.append(row)
-            rhs.append(b)
-    return append_linear_inequalities(problem, np.array(rows), np.array(rhs))
+    p_cols = [problem.var_slices["pg"].start + g for g in dg_gens]
+    q_cols = [problem.var_slices["qg"].start + g for g in dg_gens]
+    a, b = chart_rows(charts, p_cols, q_cols, problem.n, scale=problem.meta["base_mva"])
+    return append_linear_inequalities(problem, a, b)
 
 
-def evaluate_cost(p_mw, costs: list[CostPoly]) -> float:
-    """Total $/h of the dispatch under quadratic cost curves."""
-    if len(p_mw) != len(costs):
-        raise ValueError("dispatch/cost length mismatch")
-    return float(sum(c(p) for p, c in zip(p_mw, costs)))
+def chart_rows(charts: list[PQChart], p_cols, q_cols, n: int, scale: float = 1.0):
+    """Facet rows a_pq . (x[p_col], x[q_col]) * scale <= b_pq, chart by chart.
+
+    Chart k constrains columns (p_cols[k], q_cols[k]) of an n-column problem;
+    scale converts the variables to the chart's MW/MVAr.
+    """
+    a = np.zeros((sum(len(c.b_pq) for c in charts), n))
+    row = 0
+    for chart, ip, iq in zip(charts, p_cols, q_cols):
+        rows = slice(row, row + len(chart.b_pq))
+        a[rows, ip] = chart.a_pq[:, 0] * scale
+        a[rows, iq] = chart.a_pq[:, 1] * scale
+        row = rows.stop
+    return a, np.concatenate([c.b_pq for c in charts])
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +411,6 @@ class _Folded:
         jh_all = np.vstack([jh, hi, lo])
         return g_all, jg_all, h_all, jh_all
 
-    def hess(self, x, sigma, lam_all, mu_all):
-        if self.p.lag_hess is None:
-            return None
-        return self.p.lag_hess(
-            x, sigma, lam_all[: self.m_eq_user], mu_all[: self.m_ineq_user]
-        )
-
-
-def _bfgs_update(b, s, y):
-    sy = s @ y
-    bs = b @ s
-    sbs = s @ bs
-    if sbs <= 0:
-        return b
-    # Powell damping keeps the approximation positive definite
-    if sy < 0.2 * sbs:
-        theta = 0.8 * sbs / (sbs - sy)
-        y = theta * y + (1 - theta) * bs
-        sy = s @ y
-    if sy <= 1e-12 * max(1.0, sbs):
-        return b
-    return b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
 
 
 # iterates may transiently overflow on diverging problems before the
@@ -484,12 +442,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     k = gamma / z > 1.0
     mu[k] = gamma / z[k]
 
-    bfgs = None
-    if problem.lag_hess is None:
-        bfgs = np.eye(n)
-    prev_x = None
-    prev_grad_l = None
-
     def residuals(f, df, g, h, jg, jh, lam, mu, x, z):
         lx = df + jg.T @ lam + jh.T @ mu if neq or niq else df.copy()
         maxh = np.max(h) if niq else 0.0
@@ -512,9 +464,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
 
     while not converged and it < opts.max_iter:
         it += 1
-        hess = fold.hess(x, 1.0, lam, mu)
-        if hess is None:
-            hess = bfgs
+        hess = problem.lag_hess(x, 1.0, lam[: fold.m_eq_user], mu[: fold.m_ineq_user])
         zinv = 1.0 / z
         if niq:
             m = hess + (jh.T * (mu * zinv)) @ jh
@@ -566,12 +516,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
 
         f, df = problem.objective(x)
         g, jg, h, jh = fold.eval(x)
-        if bfgs is not None:
-            grad_l = df + jg.T @ lam + jh.T @ mu if neq or niq else df.copy()
-            if prev_x is not None:
-                bfgs = _bfgs_update(bfgs, x - prev_x, grad_l - prev_grad_l)
-            prev_x = x.copy()
-            prev_grad_l = grad_l
         if niq:
             gamma = opts.sigma * (z @ mu) / niq
         lx, feascond, gradcond, compcond = residuals(f, df, g, h, jg, jh, lam, mu, x, z)

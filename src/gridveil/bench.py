@@ -74,7 +74,7 @@ class BenchReport:
 
 def _with_costs(case: NetworkCase, costs: list[CostPoly]) -> NetworkCase:
     gens = [replace(g, cost=c) for g, c in zip(case.generators, costs)]
-    return replace(case, generators=gens, _ybus=None, _index=None)
+    return replace(case, generators=gens)
 
 
 def _run_trial(

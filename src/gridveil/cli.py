@@ -26,13 +26,14 @@ from .ppopf import assemble_pp, solve_pp, verify_dispatch
 from .sampling import generate_dataset, read_csv, sample_space, split_dataset, write_csv
 from .surrogate import (
     PolytopeModel,
-    QuadraticModel,
     SurrogateBundle,
     TrainConfig,
     classification_metrics,
     export_bundle,
     fit_quadratic,
     import_bundle,
+    pcc_from_dict,
+    pcc_to_dict,
     regression_metrics,
     train_fr,
 )
@@ -101,24 +102,10 @@ def load_fr_model(path) -> PolytopeModel:
     return PolytopeModel(w=w, b=b, meta=dict(d.get("meta", {})))
 
 
-def _quad_to_dict(m: QuadraticModel) -> dict:
-    return {"A": m.a_quad.tolist(), "b": m.b_quad.tolist(), "c": m.c_quad}
-
-
-def _quad_from_dict(d: dict, target: str, pcc_index: int) -> QuadraticModel:
-    return QuadraticModel(
-        a_quad=np.asarray(d["A"], dtype=float),
-        b_quad=np.asarray(d["b"], dtype=float),
-        c_quad=float(d["c"]),
-        target=target,
-        pcc_index=pcc_index,
-    )
-
-
 def save_pq_models(models: list[dict], path, meta: dict | None = None) -> None:
     d = {
         "kind": "pcc_quadratics",
-        "models": [{"p": _quad_to_dict(m["p"]), "q": _quad_to_dict(m["q"])} for m in models],
+        "models": [pcc_to_dict(m) for m in models],
         "meta": meta or {},
     }
     with open(path, "w") as fh:
@@ -131,13 +118,7 @@ def load_pq_models(path) -> list[dict]:
         d = json.load(fh)
     if d.get("kind") != "pcc_quadratics":
         raise ValueError(f"{path}: not a coupling-regression file")
-    return [
-        {
-            "p": _quad_from_dict(m["p"], "active", u),
-            "q": _quad_from_dict(m["q"], "reactive", u),
-        }
-        for u, m in enumerate(d["models"])
-    ]
+    return [pcc_from_dict(m, u) for u, m in enumerate(d["models"])]
 
 
 @dataclass

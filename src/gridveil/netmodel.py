@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -143,11 +144,6 @@ def polygon_from_vertices(vertices) -> PQChart:
     return PQChart(vertices=ordered)  # convexity enforced in __post_init__
 
 
-def polygon_contains(chart: PQChart, p: float, q: float, tol: float = 1e-9) -> bool:
-    """True iff (p, q) satisfies every facet inequality within tol (inclusive)."""
-    return float(np.max(chart.a_pq @ np.array([p, q]) - chart.b_pq)) <= tol
-
-
 def rectangle_chart(p_min, p_max, q_min, q_max) -> PQChart:
     return polygon_from_vertices(
         [(p_min, q_min), (p_max, q_min), (p_max, q_max), (p_min, q_max)]
@@ -164,7 +160,9 @@ class NetworkCase:
     ``dg_charts`` maps (ds_id, dg_index) to the DG's PQ chart; DGs without a
     chart row get their rectangle box on demand (``charts_for``).
     ``meta`` carries provenance of an integrated case (per-DS bus and branch
-    ownership) and never round-trips through case files.
+    ownership) and never round-trips through case files.  The bus index, the
+    branch table and the admittance matrix are derived from the fields on
+    first use, so ``dataclasses.replace`` always starts from fresh ones.
     """
 
     name: str
@@ -175,8 +173,6 @@ class NetworkCase:
     pcc_map: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     dg_charts: dict[tuple[int, int], PQChart] = field(default_factory=dict)
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-    _ybus: np.ndarray = field(default=None, compare=False, repr=False)
-    _index: dict = field(default=None, compare=False, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -186,25 +182,26 @@ class NetworkCase:
     def n_gen(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _bus_positions(self) -> dict[int, int]:
+        return {b.id: i for i, b in enumerate(self.buses)}
+
     def bus_index(self, bus_id: int) -> int:
-        if self._index is None:
-            object.__setattr__(self, "_index", {b.id: i for i, b in enumerate(self.buses)})
-        return self._index[bus_id]
+        return self._bus_positions[bus_id]
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index(bus_id)]
 
-    @property
+    @cached_property
+    def branch_table(self) -> BranchTable:
+        return BranchTable.of(self)
+
+    @cached_property
     def ybus(self) -> np.ndarray:
-        if self._ybus is None:
-            object.__setattr__(self, "_ybus", build_admittance(self))
-        return self._ybus
+        return build_admittance(self)
 
     def slack_buses(self) -> list[int]:
         return [b.id for b in self.buses if b.kind == "slack"]
-
-    def total_load(self) -> tuple[float, float]:
-        return (sum(b.p_d for b in self.buses), sum(b.q_d for b in self.buses))
 
     def gen_incidence(self) -> np.ndarray:
         """n_bus x n_gen 0/1 matrix mapping generators to buses."""
@@ -230,29 +227,66 @@ class NetworkCase:
         return hashlib.sha256(serialize_case(self).encode()).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class BranchTable:
+    """The pi model of every branch of a case, stamped once.
+
+    Branch k joins bus positions f[k] and t[k]; with the from-side tap ratio
+    tau, series admittance y and total charging b, the currents entering it
+    are I_f = yff V_f + yft V_t and I_t = ytf V_f + ytt V_t, where
+    yff = (y + j b/2) / tau^2, yft = ytf = -y / tau and ytt = y + j b/2.
+    Open branches carry zero admittances.  Ybus and the flow rows (Yf, Yt)
+    are summed or copied from these vectors.
+    """
+
+    f: np.ndarray
+    t: np.ndarray
+    closed: np.ndarray  # bool
+    rated: np.ndarray  # bool: closed with s_max > 0
+    s_max: np.ndarray  # MVA
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+
+    @classmethod
+    def of(cls, case: NetworkCase) -> BranchTable:
+        pos = case._bus_positions
+        f, t, closed, s_max, y = [], [], [], [], []  # y: yff, yft, ytf, ytt per branch
+        for br in case.branches:
+            f.append(pos[br.from_bus])
+            t.append(pos[br.to_bus])
+            closed.append(bool(br.status))
+            s_max.append(br.s_max)
+            if not br.status:
+                y.extend((0j, 0j, 0j, 0j))
+                continue
+            # Python complex scalars: numpy's vector division rounds differently
+            ys = 1.0 / complex(br.r, br.x)
+            bc = 1j * br.b_sh / 2.0
+            tau = br.tap if br.tap not in (0.0, 0) else 1.0
+            y.extend(((ys + bc) / tau**2, -ys / tau, -ys / tau, ys + bc))
+        closed = np.array(closed, dtype=bool)
+        s_max = np.array(s_max, dtype=float)
+        yff, yft, ytf, ytt = np.array(y, dtype=complex).reshape(-1, 4).T
+        f, t = np.array(f, dtype=int), np.array(t, dtype=int)
+        return cls(f, t, closed, closed & (s_max > 0), s_max, yff, yft, ytf, ytt)
+
+
 def build_admittance(case: NetworkCase) -> np.ndarray:
     """Standard pi-model bus admittance matrix (dense, complex, p.u.).
 
-    Only closed branches are stamped.  With the from-side tap ratio tau:
-    Yff = (y + j b/2) / tau^2, Yft = Ytf = -y / tau, Ytt = y + j b/2.
+    Every branch adds its four ``BranchTable`` entries, in branch order; those
+    of an open branch are zero and leave every entry as it was.
     """
+    tab = case.branch_table
     n = case.n_bus
-    y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
-        if not br.status:
-            continue
-        if br.r == 0 and br.x == 0:
-            raise ValueError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
-        f = case.bus_index(br.from_bus)
-        t = case.bus_index(br.to_bus)
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 1j * br.b_sh / 2.0
-        tau = br.tap if br.tap not in (0.0, 0) else 1.0
-        y[f, f] += (ys + bc) / tau**2
-        y[t, t] += ys + bc
-        y[f, t] += -ys / tau
-        y[t, f] += -ys / tau
-    return y
+    f, t = tab.f, tab.t
+    pos = np.array([f * n + f, t * n + t, f * n + t, t * n + f]).T.ravel()
+    vals = np.array([tab.yff, tab.ytt, tab.yft, tab.ytf]).T.ravel()
+    y = np.zeros(n * n, dtype=complex)
+    np.add.at(y, pos, vals)
+    return y.reshape(n, n)
 
 
 def branch_admittances(case: NetworkCase):
@@ -260,26 +294,15 @@ def branch_admittances(case: NetworkCase):
 
     S_from = diag(Cf V) conj(Yf V), likewise for the to end.
     """
-    n = case.n_bus
-    nl = len(case.branches)
-    yf = np.zeros((nl, n), dtype=complex)
-    yt = np.zeros((nl, n), dtype=complex)
-    fidx = np.zeros(nl, dtype=int)
-    tidx = np.zeros(nl, dtype=int)
-    for i, br in enumerate(case.branches):
-        f = case.bus_index(br.from_bus)
-        t = case.bus_index(br.to_bus)
-        fidx[i], tidx[i] = f, t
-        if not br.status:
-            continue
-        ys = 1.0 / complex(br.r, br.x)
-        bc = 1j * br.b_sh / 2.0
-        tau = br.tap if br.tap not in (0.0, 0) else 1.0
-        yf[i, f] = (ys + bc) / tau**2
-        yf[i, t] = -ys / tau
-        yt[i, f] = -ys / tau
-        yt[i, t] = ys + bc
-    return yf, yt, fidx, tidx
+    tab = case.branch_table
+    k = np.arange(len(tab.f))
+    yf = np.zeros((len(k), case.n_bus), dtype=complex)
+    yt = np.zeros_like(yf)
+    yf[k, tab.f] = tab.yff
+    yf[k, tab.t] = tab.yft
+    yt[k, tab.f] = tab.ytf
+    yt[k, tab.t] = tab.ytt
+    return yf, yt, tab.f.copy(), tab.t.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +519,7 @@ def bundled_case(name: str) -> NetworkCase:
 # ---------------------------------------------------------------------------
 
 
-def build_integrated(
-    ts: NetworkCase,
-    ds_list: list[NetworkCase],
-    pcc_map: dict[int, tuple[tuple[int, int], ...]] | None = None,
-) -> NetworkCase:
+def build_integrated(ts: NetworkCase, ds_list: list[NetworkCase]) -> NetworkCase:
     """Merge DS cases onto the TS at their PCC buses.
 
     Every DS coupling bus is merged onto (replaced by) the declared TS bus,
@@ -526,8 +545,6 @@ def build_integrated(
         if len(ds.pcc_map) != 1:
             raise ValueError(f"DS case {ds.name!r} must declare exactly one pcc block")
         ds_id, couplings = next(iter(ds.pcc_map.items()))
-        if pcc_map is not None:
-            couplings = pcc_map[ds_id]
         id_of: dict[int, int] = {}
         for ds_bus, ts_bus in couplings:
             try:

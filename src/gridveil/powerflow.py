@@ -142,21 +142,15 @@ class LimitReport:
     max_flow_ratio: float = 0.0
 
 
-def check_limits(
-    case: NetworkCase,
-    v: np.ndarray,
-    v_band: tuple[float, float] | None = None,
-    tol: float = 1e-9,
-) -> LimitReport:
+def check_limits(case: NetworkCase, v: np.ndarray, tol: float = 1e-9) -> LimitReport:
     """Check bus voltage bands and branch MVA ratings for a solved voltage profile.
 
-    v_band overrides the per-bus magnitude limits with one uniform band.
     Ratings of 0 and open branches are ignored.
     """
     rep = LimitReport(ok=True)
     vm = np.abs(v)
     for i, b in enumerate(case.buses):
-        lo, hi = v_band if v_band is not None else (b.v_min, b.v_max)
+        lo, hi = b.v_min, b.v_max
         err = max(lo - vm[i], vm[i] - hi)
         rep.max_v_err = max(rep.max_v_err, err)
         if err > tol:
@@ -272,7 +266,7 @@ def ds_tables(case: NetworkCase) -> DsTables:
         [(jr + bi * m) * 2 * m + jc + bj * m for bi in (0, 1) for bj in (0, 1)]
     )
     yf, yt, fidx, tidx = branch_admittances(case)
-    rated = np.array([bool(br.status) and br.s_max > 0 for br in case.branches], dtype=bool)
+    rated = case.branch_table.rated
     return DsTables(
         ybus=ybus,
         fixed=fixed,
@@ -290,7 +284,7 @@ def ds_tables(case: NetworkCase) -> DsTables:
         yt=yt[rated],
         fidx=fidx[rated],
         tidx=tidx[rated],
-        s_max=np.array([br.s_max for br in case.branches])[rated],
+        s_max=case.branch_table.s_max[rated],
         base_mva=case.base_mva,
     )
 

@@ -1,11 +1,13 @@
 """Privacy-preserving OPF: transmission dispatch against imported surrogates.
 
-The DS networks are absent here by construction.  Each distribution system
-contributes one variable block x_j = (v at its PCC buses, DG p, DG q), a
-facet block A_FR x_j <= b_FR standing in for its internal feasibility, and
-quadratic couplings tying the regression-predicted PCC flows to pseudo
-sources at the PCC buses.  Everything the assembly touches comes from the
-transmission case and the SurrogateBundle files.
+The DS networks are absent here by construction.  The problem is the
+transmission case's standard AC-OPF (``acopf.assemble_standard``) extended
+by the surrogates: each distribution system contributes one variable block
+x_j = (v at its PCC buses, DG p, DG q), a facet block A_FR x_j <= b_FR
+standing in for its internal feasibility, and quadratic couplings tying the
+regression-predicted PCC flows to pseudo sources at the PCC buses.
+Everything the assembly touches comes from the transmission case and the
+SurrogateBundle files.
 """
 
 from __future__ import annotations
@@ -16,17 +18,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acopf import (
-    BranchSet,
     NlpOptions,
     NlpProblem,
     OpfSolution,
+    append_linear_inequalities,
     assemble_standard,
     assemble_polygon_extension,
-    bus_injection_hessian,
+    chart_rows,
     solve_nlp,
 )
 from .netmodel import NetworkCase
-from .powerflow import LimitReport, check_limits, dSbus_dV, line_flows
+from .powerflow import LimitReport, check_limits, line_flows
 from .surrogate import QuadraticModel, SurrogateBundle
 
 
@@ -51,24 +53,17 @@ def assemble_pp(
     bundles: dict[int, SurrogateBundle],
     charts_enforced: bool = False,
 ) -> PpProblem:
-    """Build the surrogate-coupled OPF over the TS network.
+    """Build the surrogate-coupled OPF: the TS's standard OPF plus an extension.
 
-    Variables: (theta, vm, pg, qg) of the TS, pseudo-source injections
-    (px, qx) at every PCC bus, then one x_j block per DS in ascending ds_id.
-    The pseudo sources enter the bus balance like generators; couplings
-    t_p(x_j) + px = 0 and t_q(x_j) + qx = 0 hand them the regression outputs,
-    and v-link rows pin each x_j voltage component to the PCC bus magnitude.
+    Variables: the standard (theta, vm, pg, qg) of the TS, then pseudo-source
+    injections (px, qx) at every PCC bus, then one x_j block per DS in
+    ascending ds_id.  The pseudo sources enter the bus balance like
+    generators; couplings t_p(x_j) + px = 0 and t_q(x_j) + qx = 0 hand them
+    the regression outputs, and v-link rows pin each x_j voltage component to
+    the PCC bus magnitude.  Facet and chart rows are linear inequalities.
     """
+    ts = assemble_standard(ts_case)
     n = ts_case.n_bus
-    ng = ts_case.n_gen
-    if ng == 0:
-        raise ValueError("transmission case has no generators")
-    base = ts_case.base_mva
-    ybus = ts_case.ybus
-    branches = BranchSet(ts_case)
-    kg = ts_case.gen_incidence()
-    sd = np.array([complex(b.p_d, b.q_d) for b in ts_case.buses]) / base
-
     ds_ids = sorted(bundles)
     pcc_order: dict[int, tuple[int, ...]] = {}
     for ds in ds_ids:
@@ -92,14 +87,11 @@ def assemble_pp(
     if sorted(covered) != sorted(pcc_kind):
         raise ValueError(f"bundles cover PCC buses {sorted(covered)}, case has {sorted(pcc_kind)}")
 
-    # variable layout
-    i_th = slice(0, n)
-    i_vm = slice(n, 2 * n)
-    i_pg = slice(2 * n, 2 * n + ng)
-    i_qg = slice(2 * n + ng, 2 * n + 2 * ng)
+    # variable layout: the standard block, then (px, qx), then the x_j blocks
+    nb = ts.n
     npcc = len(covered)
-    i_px = slice(2 * n + 2 * ng, 2 * n + 2 * ng + npcc)
-    i_qx = slice(2 * n + 2 * ng + npcc, 2 * n + 2 * ng + 2 * npcc)
+    i_px = slice(nb, nb + npcc)
+    i_qx = slice(nb + npcc, nb + 2 * npcc)
     x_slices: dict[int, slice] = {}
     pos = i_qx.stop
     for ds in ds_ids:
@@ -107,174 +99,89 @@ def assemble_pp(
         pos += bundles[ds].n_x
     nx = pos
 
-    # pseudo-source incidence at PCC buses, ordered like (px, qx)
-    kx = np.zeros((n, npcc))
-    col = 0
-    px_of: dict[tuple[int, int], int] = {}  # (ds, u) -> pseudo-source column
-    for ds in ds_ids:
-        for u, bus in enumerate(pcc_order[ds]):
-            kx[ts_case.bus_index(bus), col] = 1.0
-            px_of[(ds, u)] = col
-            col += 1
+    # PCCs in pseudo-source column order; per PCC and direction one coupling
+    # (x_j block, regression, pseudo-source column)
+    pccs = [(ds, u) for ds in ds_ids for u in range(bundles[ds].n_pcc)]
+    couplings = [
+        (x_slices[ds], bundles[ds].pcc[u][key], isl.start + c)
+        for c, (ds, u) in enumerate(pccs)
+        for key, isl in (("p", i_px), ("q", i_qx))
+    ]
+    pcc_pos = np.array([ts_case.bus_index(bus) for bus in covered], dtype=int)
+    kx = np.zeros((n, npcc))  # pseudo-source incidence
+    kx[pcc_pos, np.arange(npcc)] = 1.0
 
-    lb = np.full(nx, -np.inf)
-    ub = np.full(nx, np.inf)
-    for i, b in enumerate(ts_case.buses):
-        lb[i_th.start + i], ub[i_th.start + i] = b.theta_min, b.theta_max
-        lb[i_vm.start + i], ub[i_vm.start + i] = b.v_min, b.v_max
-    slack = ts_case.slack_buses()
-    ref = ts_case.bus_index(slack[0]) if slack else 0
-    lb[ref], ub[ref] = 0.0, 0.0
-    for g, gen in enumerate(ts_case.generators):
-        lb[i_pg.start + g], ub[i_pg.start + g] = gen.p_min / base, gen.p_max / base
-        lb[i_qg.start + g], ub[i_qg.start + g] = gen.q_min / base, gen.q_max / base
-    for ds in ds_ids:
-        bundle = bundles[ds]
-        sl = x_slices[ds]
-        lb[sl] = bundle.x_min
-        ub[sl] = bundle.x_max
-        # wide symmetric bounds so the couplings, not these boxes, bind
-        for u in range(bundle.n_pcc):
-            c = px_of[(ds, u)]
-            bp = 1.5 * _quad_box_bound(bundle.pcc[u]["p"], bundle.x_min, bundle.x_max) + 0.1
-            bq = 1.5 * _quad_box_bound(bundle.pcc[u]["q"], bundle.x_min, bundle.x_max) + 0.1
-            lb[i_px.start + c], ub[i_px.start + c] = -bp, bp
-            lb[i_qx.start + c], ub[i_qx.start + c] = -bq, bq
-
-    x0 = np.zeros(nx)
-    x0[i_vm] = np.clip(1.0, lb[i_vm], ub[i_vm])
-    x0[i_pg] = (lb[i_pg] + ub[i_pg]) / 2
-    x0[i_qg] = (lb[i_qg] + ub[i_qg]) / 2
+    lb = np.concatenate([ts.lb, np.full(nx - nb, -np.inf)])
+    ub = np.concatenate([ts.ub, np.full(nx - nb, np.inf)])
+    x0 = np.concatenate([ts.x0, np.zeros(nx - nb)])
     for ds in ds_ids:
         sl = x_slices[ds]
+        lb[sl] = bundles[ds].x_min
+        ub[sl] = bundles[ds].x_max
         x0[sl] = (lb[sl] + ub[sl]) / 2
-        for u in range(bundles[ds].n_pcc):
-            c = px_of[(ds, u)]
-            x0[i_px.start + c] = -bundles[ds].pcc[u]["p"].predict(x0[sl])
-            x0[i_qx.start + c] = -bundles[ds].pcc[u]["q"].predict(x0[sl])
+    for sl, qm, col in couplings:
+        # wide symmetric bounds so the couplings, not these boxes, bind
+        bound = 1.5 * _quad_box_bound(qm, lb[sl], ub[sl]) + 0.1
+        lb[col], ub[col] = -bound, bound
+        x0[col] = -qm.predict(x0[sl])
 
-    ca = np.array([g.cost.a for g in ts_case.generators]) * base**2
-    cb = np.array([g.cost.b for g in ts_case.generators]) * base
-    cc = np.array([g.cost.c for g in ts_case.generators])
+    # DG generation cost sits on the p components of each x_j
+    dg_cols = [
+        (x_slices[ds].start + bundles[ds].n_pcc + k, cost)
+        for ds in ds_ids
+        for k, cost in enumerate(bundles[ds].costs)
+    ]
 
     def objective(x):
-        pg = x[i_pg]
-        f = float(np.sum(ca * pg**2 + cb * pg + cc))
+        f, grad_ts = ts.objective(x[:nb])
         grad = np.zeros(nx)
-        grad[i_pg] = 2 * ca * pg + cb
-        for ds in ds_ids:
-            bundle = bundles[ds]
-            sl = x_slices[ds]
-            r = bundle.n_pcc
-            for k, cost in enumerate(bundle.costs):
-                p = x[sl.start + r + k]
-                f += cost.a * p * p + cost.b * p + cost.c
-                grad[sl.start + r + k] = 2 * cost.a * p + cost.b
+        grad[:nb] = grad_ts
+        for i, cost in dg_cols:
+            p = x[i]
+            f += cost.a * p * p + cost.b * p + cost.c
+            grad[i] = 2 * cost.a * p + cost.b
         return f, grad
 
-    def voltages(x):
-        return x[i_vm] * np.exp(1j * x[i_th])
-
-    # equality rows: 2n bus balance, then per DS its v-links and couplings
-    link_rows = sum(bundles[ds].n_pcc for ds in ds_ids)
-    coup_rows = 2 * link_rows
-    m_eq = 2 * n + link_rows + coup_rows
-    coup_slice = slice(2 * n + link_rows, m_eq)
+    # equality rows: 2n bus balance, then per PCC its v-link, then couplings
+    coup_start = 2 * n + npcc
+    m_eq = coup_start + 2 * npcc
+    link_rows = np.arange(2 * n, coup_start)
+    link_x = np.array([x_slices[ds].start + u for ds, u in pccs], dtype=int)
+    link_vm = ts.var_slices["vm"].start + pcc_pos
 
     def equalities(x):
-        v = voltages(x)
-        s = v * np.conj(ybus @ v)
-        mis = s + sd - kg @ (x[i_pg] + 1j * x[i_qg]) - kx @ (x[i_px] + 1j * x[i_qx])
-        ds_dva, ds_dvm = dSbus_dV(ybus, v)
+        g_ts, jac_ts = ts.eq(x[:nb])
         g = np.zeros(m_eq)
         jac = np.zeros((m_eq, nx))
-        g[:n], g[n : 2 * n] = mis.real, mis.imag
-        jac[:n, i_th] = ds_dva.real
-        jac[:n, i_vm] = ds_dvm.real
-        jac[:n, i_pg] = -kg
+        s_x = kx @ (x[i_px] + 1j * x[i_qx])
+        g[:n] = g_ts[:n] - s_x.real
+        g[n : 2 * n] = g_ts[n:] - s_x.imag
+        jac[: 2 * n, :nb] = jac_ts
         jac[:n, i_px] = -kx
-        jac[n : 2 * n, i_th] = ds_dva.imag
-        jac[n : 2 * n, i_vm] = ds_dvm.imag
-        jac[n : 2 * n, i_qg] = -kg
         jac[n : 2 * n, i_qx] = -kx
-        row = 2 * n
-        for ds in ds_ids:
-            sl = x_slices[ds]
-            for u, bus in enumerate(pcc_order[ds]):
-                g[row] = x[sl.start + u] - x[i_vm.start + ts_case.bus_index(bus)]
-                jac[row, sl.start + u] = 1.0
-                jac[row, i_vm.start + ts_case.bus_index(bus)] = -1.0
-                row += 1
-        for ds in ds_ids:
-            bundle = bundles[ds]
-            sl = x_slices[ds]
+        g[link_rows] = x[link_x] - x[link_vm]
+        jac[link_rows, link_x] = 1.0
+        jac[link_rows, link_vm] = -1.0
+        for row, (sl, qm, col) in enumerate(couplings, start=coup_start):
             xj = x[sl]
-            for u in range(bundle.n_pcc):
-                for key, isl in (("p", i_px), ("q", i_qx)):
-                    qm = bundle.pcc[u][key]
-                    g[row] = qm.predict(xj) + x[isl.start + px_of[(ds, u)]]
-                    jac[row, sl] = 2 * qm.a_quad @ xj + qm.b_quad
-                    jac[row, isl.start + px_of[(ds, u)]] = 1.0
-                    row += 1
+            g[row] = qm.predict(xj) + x[col]
+            jac[row, sl] = 2 * qm.a_quad @ xj + qm.b_quad
+            jac[row, col] = 1.0
         return g, jac
 
-    # inequality rows: TS line limits, then per DS facets (and chart rows)
-    fr_blocks = []
-    for ds in ds_ids:
-        bundle = bundles[ds]
-        a = np.zeros((bundle.fr.n_h, nx))
-        a[:, x_slices[ds]] = bundle.fr.a_fr
-        fr_blocks.append((a, bundle.fr.b_fr))
-        if charts_enforced and bundle.charts:
-            r = bundle.n_pcc
-            rows, rhs = [], []
-            for k, chart in enumerate(bundle.charts):
-                for (ap, aq), bb in zip(chart.a_pq, chart.b_pq):
-                    row = np.zeros(nx)
-                    row[x_slices[ds].start + r + k] = ap
-                    row[x_slices[ds].start + r + bundle.n_dg + k] = aq
-                    rows.append(row)
-                    rhs.append(bb)
-            fr_blocks.append((np.array(rows), np.array(rhs)))
-    a_lin = np.vstack([a for a, _ in fr_blocks]) if fr_blocks else np.zeros((0, nx))
-    b_lin = np.concatenate([b for _, b in fr_blocks]) if fr_blocks else np.zeros(0)
-
     def inequalities(x):
-        jac = np.zeros((branches.n_rows + len(b_lin), nx))
-        h = np.zeros(branches.n_rows + len(b_lin))
-        if branches.n_rows:
-            hv, da, dm = branches.sq_constraints(voltages(x))
-            h[: branches.n_rows] = hv
-            jac[: branches.n_rows, i_th] = da
-            jac[: branches.n_rows, i_vm] = dm
-        if len(b_lin):
-            h[branches.n_rows :] = a_lin @ x - b_lin
-            jac[branches.n_rows :, :] = a_lin
+        h, jac_ts = ts.ineq(x[:nb])
+        jac = np.zeros((len(h), nx))
+        jac[:, :nb] = jac_ts
         return h, jac
 
     def lag_hess(x, sigma, lam, mu):
-        v = voltages(x)
         hess = np.zeros((nx, nx))
-        hb = bus_injection_hessian(ybus, v, lam[:n], lam[n : 2 * n])
-        if branches.n_rows:
-            hb = hb + branches.sq_hessian(v, mu[: branches.n_rows])
-        hess[: 2 * n, : 2 * n] = hb
-        row = coup_slice.start
-        for ds in ds_ids:
-            bundle = bundles[ds]
-            sl = x_slices[ds]
-            for u in range(bundle.n_pcc):
-                for key in ("p", "q"):
-                    hess[sl, sl] += 2.0 * lam[row] * bundle.pcc[u][key].a_quad
-                    row += 1
-        diag = np.zeros(nx)
-        diag[i_pg] = sigma * 2 * ca
-        for ds in ds_ids:
-            bundle = bundles[ds]
-            r = bundle.n_pcc
-            for k, cost in enumerate(bundle.costs):
-                diag[x_slices[ds].start + r + k] = sigma * 2 * cost.a
-        hess[np.diag_indices(nx)] += diag
+        hess[:nb, :nb] = ts.lag_hess(x[:nb], sigma, lam[: 2 * n], mu)
+        for row, (sl, qm, _) in enumerate(couplings, start=coup_start):
+            hess[sl, sl] += 2.0 * lam[row] * qm.a_quad
+        for i, cost in dg_cols:
+            hess[i, i] += sigma * 2 * cost.a
         return hess
 
     problem = NlpProblem(
@@ -282,21 +189,32 @@ def assemble_pp(
         lb=lb,
         ub=ub,
         objective=objective,
+        lag_hess=lag_hess,
         equalities=equalities,
         inequalities=inequalities,
-        lag_hess=lag_hess,
-        var_slices={"theta": i_th, "vm": i_vm, "pg": i_pg, "qg": i_qg, "px": i_px, "qx": i_qx},
+        var_slices={**ts.var_slices, "px": i_px, "qx": i_qx},
         meta={
-            "case": ts_case.name,
-            "n_bus": n,
-            "n_gen": ng,
-            "base_mva": base,
+            **ts.meta,
+            "dg_gens": [],  # the DGs are the x_j blocks, not TS generator columns
             "x_ds_slices": x_slices,
-            "pcc_order": pcc_order,
-            "coupling_rows": coup_slice,
-            "charts_enforced": bool(charts_enforced),
         },
     )
+
+    # per DS its facet rows, then its chart rows
+    blocks = []
+    for ds in ds_ids:
+        bundle = bundles[ds]
+        a = np.zeros((bundle.fr.n_h, nx))
+        a[:, x_slices[ds]] = bundle.fr.a_fr
+        blocks.append((a, bundle.fr.b_fr))
+        if charts_enforced and bundle.charts:
+            p0 = x_slices[ds].start + bundle.n_pcc
+            k = np.arange(bundle.n_dg)
+            blocks.append(chart_rows(bundle.charts, p0 + k, p0 + bundle.n_dg + k, nx))
+    if blocks:
+        append_linear_inequalities(
+            problem, np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
+        )
     return PpProblem(ts_case=ts_case, bundles=bundles, problem=problem, pcc_order=pcc_order)
 
 
@@ -379,7 +297,7 @@ def verify_dispatch(
         for k, g in enumerate(gidx):
             p, q = float(xj[r + k]), float(xj[r + n_dg + k])
             gens[g] = replace(gens[g], p_min=p, p_max=p, q_min=q, q_max=q)
-    pinned = replace(integrated_case, generators=gens, _ybus=None, _index=None)
+    pinned = replace(integrated_case, generators=gens)
 
     charts = None
     if integrated_case.dg_charts:
@@ -416,9 +334,8 @@ def verify_dispatch(
     branch_ds = pinned.meta["branch_ds"]
     base = pinned.base_mva
     err = 0.0
-    for ds, gidx in dg_map.items():
+    for ds in dg_map:
         bundle = bundles[ds]
-        r = bundle.n_pcc
         ts_buses = tuple(t for _, t in pinned.pcc_map[ds])
         xj = pp_solution.x_ds[ds].copy()
         for u, bus in enumerate(ts_buses):

@@ -59,15 +59,10 @@ class SampleSpace:
         return self.n_pcc + 2 * self.n_dg
 
 
-def sample_space(
-    case: NetworkCase,
-    charts: list[PQChart] | None = None,
-    v_band: tuple[float, float] | None = None,
-) -> SampleSpace:
+def sample_space(case: NetworkCase, charts: list[PQChart] | None = None) -> SampleSpace:
     """Sampling box of a single-DS case: PCC voltage bands and DG chart boxes.
 
-    charts overrides the case's capability charts (one per DG); v_band
-    overrides the per-PCC voltage range.
+    charts overrides the case's capability charts (one per DG).
     """
     if len(case.pcc_map) != 1:
         raise ValueError("expected a single-DS case")
@@ -80,8 +75,8 @@ def sample_space(
     for u, (ds_bus, _) in enumerate(couplings, start=1):
         b = case.bus(ds_bus)
         names.append(f"v_pcc_{u}")
-        lo.append(v_band[0] if v_band else b.v_min)
-        hi.append(v_band[1] if v_band else b.v_max)
+        lo.append(b.v_min)
+        hi.append(b.v_max)
     for k, chart in enumerate(charts, start=1):
         names.append(f"p_dg_{k}")
         lo.append(chart.box[0])
@@ -167,7 +162,6 @@ def generate_dataset(
     seed: int,
     jobs: int | None = None,
     charts: list[PQChart] | None = None,
-    v_band: tuple[float, float] | None = None,
 ) -> Dataset:
     """Sample n operating points and label them through the DS response.
 
@@ -177,7 +171,7 @@ def generate_dataset(
     rows.
     """
     jobs = resolve_jobs(jobs)
-    space = sample_space(case, charts=charts, v_band=v_band)
+    space = sample_space(case, charts=charts)
     rng = np.random.default_rng(seed)
     x = lhs(n, space.x_min, space.x_max, rng)
 

@@ -325,6 +325,32 @@ class QuadraticModel:
         return float(t[0]) if np.ndim(x) == 1 else t
 
 
+def pcc_to_dict(entry: dict) -> dict:
+    """JSON form of one PCC's quadratics, {"p": {"A", "b", "c"}, "q": {...}}.
+
+    Bundles and the CLI's coupling-regression files both store this form.
+    """
+    out = {}
+    for key in ("p", "q"):
+        m = entry[key]
+        out[key] = {"A": m.a_quad.tolist(), "b": m.b_quad.tolist(), "c": m.c_quad}
+    return out
+
+
+def pcc_from_dict(d: dict, pcc_index: int) -> dict:
+    """Inverse of ``pcc_to_dict`` for the PCC at pcc_index."""
+    return {
+        key: QuadraticModel(
+            np.array(d[key]["A"], float),
+            np.array(d[key]["b"], float),
+            float(d[key]["c"]),
+            target=target,
+            pcc_index=pcc_index,
+        )
+        for key, target in (("p", "active"), ("q", "reactive"))
+    }
+
+
 def _monomials(x: np.ndarray):
     n, d = x.shape
     cols = [np.ones(n)]
@@ -504,17 +530,7 @@ def export_bundle(bundle: SurrogateBundle, path) -> None:
         "x_min": list(map(float, bundle.x_min)),
         "x_max": list(map(float, bundle.x_max)),
         "fr": {"W": bundle.fr.w.tolist(), "b": bundle.fr.b.tolist()},
-        "pcc": [
-            {
-                key: {
-                    "A": entry[key].a_quad.tolist(),
-                    "b": entry[key].b_quad.tolist(),
-                    "c": entry[key].c_quad,
-                }
-                for key in ("p", "q")
-            }
-            for entry in bundle.pcc
-        ],
+        "pcc": [pcc_to_dict(entry) for entry in bundle.pcc],
         "charts": [[list(v) for v in chart.vertices] for chart in bundle.charts],
         "costs": [{"a": c.a, "b": c.b, "c": c.c} for c in bundle.costs],
     }
@@ -531,20 +547,7 @@ def import_bundle(path) -> SurrogateBundle:
         d = json.load(fh)
     validate_bundle_dict(d)
     fr = PolytopeModel(np.array(d["fr"]["W"], float), np.array(d["fr"]["b"], float))
-    pcc = []
-    for u, entry in enumerate(d["pcc"]):
-        pcc.append(
-            {
-                key: QuadraticModel(
-                    np.array(entry[key]["A"], float),
-                    np.array(entry[key]["b"], float),
-                    float(entry[key]["c"]),
-                    target="active" if key == "p" else "reactive",
-                    pcc_index=u,
-                )
-                for key in ("p", "q")
-            }
-        )
+    pcc = [pcc_from_dict(entry, u) for u, entry in enumerate(d["pcc"])]
     charts = [polygon_from_vertices(v) for v in d.get("charts", [])]
     costs = [CostPoly(c["a"], c["b"], c["c"]) for c in d["costs"]]
     return SurrogateBundle(

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from gridveil.acopf import (
+    BranchSet,
     NlpOptions,
     NlpProblem,
     assemble_polygon_extension,
     assemble_standard,
-    evaluate_cost,
     kkt_report,
     solve_nlp,
     solve_standard,
 )
-from gridveil.netmodel import CostPoly, polygon_from_vertices
+from gridveil.netmodel import CostPoly, branch_admittances, polygon_from_vertices
 from gridveil.powerflow import newton_pf
 
 from oracles import fd_jacobian, rel_err
@@ -39,6 +39,16 @@ def test_slack_angle_pinned(toy3):
     assert p.lb[ref] == p.ub[ref] == 0.0
 
 
+@pytest.mark.parametrize("name", ["ts30", "ds1", "ds2", "ds3", "ieee33", "integrated"])
+def test_branch_rows_are_rated_admittance_rows(name, request):
+    case = request.getfixturevalue(name)
+    yf, yt, fidx, tidx = branch_admittances(case)
+    rated = np.array([bool(br.status) and br.s_max > 0 for br in case.branches])
+    rows = BranchSet(case)
+    assert np.array_equal(rows.yb, np.vstack([yf[rated], yt[rated]]))
+    assert np.array_equal(rows.cidx, np.concatenate([fidx[rated], tidx[rated]]))
+
+
 def test_equality_residual_counts(toy3):
     p = assemble_standard(toy3)
     g, jg = p.eq(p.x0)
@@ -55,7 +65,12 @@ def test_solver_unconstrained_quadratic():
     def obj(x):
         return float((x[0] - 2.0) ** 2 + 3.0), np.array([2 * (x[0] - 2.0)])
 
-    p = NlpProblem(x0=np.zeros(1), lb=np.array([-5.0]), ub=np.array([5.0]), objective=obj)
+    def hess(x, sigma, lam, mu):
+        return sigma * np.array([[2.0]])
+
+    p = NlpProblem(
+        x0=np.zeros(1), lb=np.array([-5.0]), ub=np.array([5.0]), objective=obj, lag_hess=hess
+    )
     sol = solve_nlp(p, TIGHT)
     assert sol.optimal
     assert abs(sol.x[0] - 2.0) < 1e-6
@@ -75,6 +90,7 @@ def test_solver_active_linear_constraint():
         lb=np.zeros(2),
         ub=np.full(2, 2.0),
         objective=obj,
+        lag_hess=lambda x, sigma, lam, mu: np.zeros((2, 2)),
         inequalities=ineq,
     )
     sol = solve_nlp(p, TIGHT)
@@ -101,8 +117,6 @@ def test_opf_infeasible_when_demand_exceeds_capacity(toy3):
         buses=[
             dataclasses.replace(b, p_d=b.p_d * 10, q_d=b.q_d * 10) for b in toy3.buses
         ],
-        _ybus=None,
-        _index=None,
     )
     sol = solve_standard(heavy)
     assert not sol.optimal
@@ -137,8 +151,6 @@ def test_cost_scaling_leaves_dispatch(toy3):
             )
             for g in toy3.generators
         ],
-        _ybus=None,
-        _index=None,
     )
     sol7 = solve_standard(scaled, TIGHT)
     assert sol7.optimal
@@ -197,21 +209,9 @@ def test_chart_count_must_match(toy3):
 
 
 def test_empty_chart_list_is_identity(toy3):
-    no_dg = dataclasses.replace(toy3, meta={"dg_map": {}}, _ybus=None, _index=None)
+    no_dg = dataclasses.replace(toy3, meta={"dg_map": {}})
     p = assemble_standard(no_dg)
     assert assemble_polygon_extension(p, []) is p
-
-
-# ----------------------------------------------------------- evaluate_cost
-
-
-def test_evaluate_cost_values():
-    costs = [CostPoly(0.0, 0.0, 5.0), CostPoly(0.0, 2.0, 1.0)]
-    assert evaluate_cost([0.0, 0.0], costs) == 6.0
-    assert evaluate_cost([0.0, 10.0], costs) == 26.0
-    assert evaluate_cost([10.0, 0.0], costs[::-1]) == evaluate_cost([0.0, 10.0], costs)
-    with pytest.raises(ValueError):
-        evaluate_cost([1.0], costs)
 
 
 # -------------------------------------------------------------- kkt_report

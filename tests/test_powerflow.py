@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridveil.netmodel import parse_case
@@ -151,10 +151,16 @@ def test_check_limits_engineered_overload():
     assert rep.max_flow_ratio > 1.0
 
 
+def _with_band(case, lo, hi):
+    return dataclasses.replace(
+        case, buses=[dataclasses.replace(b, v_min=lo, v_max=hi) for b in case.buses]
+    )
+
+
 def test_check_limits_band_override(ds1):
     res = newton_pf(ds1, tol=1e-10)
-    assert check_limits(ds1, res.v, v_band=(0.0, 2.0)).ok
-    assert not check_limits(ds1, res.v, v_band=(0.9999, 1.0001)).ok
+    assert check_limits(_with_band(ds1, 0.0, 2.0), res.v).ok
+    assert not check_limits(_with_band(ds1, 0.9999, 1.0001), res.v).ok
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,10 +171,11 @@ def test_check_limits_band_override(ds1):
 )
 def test_check_limits_monotone_in_band(lo, hi, shrink):
     # tightening the band can only move verdicts toward infeasible
+    assume(lo + shrink < hi - shrink)  # a bus band cannot be empty
     case = make_two_bus()
     res = newton_pf(case, tol=1e-10)
-    wide = check_limits(case, res.v, v_band=(lo, hi))
-    narrow = check_limits(case, res.v, v_band=(lo + shrink, hi - shrink))
+    wide = check_limits(_with_band(case, lo, hi), res.v)
+    narrow = check_limits(_with_band(case, lo + shrink, hi - shrink), res.v)
     if narrow.ok:
         assert wide.ok
     assert len(narrow.v_violations) >= len(wide.v_violations)
@@ -240,7 +247,7 @@ def test_ds_response_batch_matches_scalar_row_by_row(ds1):
     # feasible rows, a voltage-band break, a rating break and a diverging row
     branches = list(ds1.branches)
     branches[0] = dataclasses.replace(branches[0], s_max=1.5)
-    case = dataclasses.replace(ds1, branches=branches, _ybus=None, _index=None)
+    case = dataclasses.replace(ds1, branches=branches)
     x = np.array(
         [
             [1.00, 0.5, 0.0],

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import gridveil.ppopf as ppopf_module
-from gridveil.acopf import NlpOptions
-from gridveil.netmodel import rectangle_chart
+from gridveil.acopf import NlpOptions, assemble_standard
+from gridveil.netmodel import CostPoly, rectangle_chart
 from gridveil.ppopf import assemble_pp, solve_pp, verify_dispatch
 from gridveil.surrogate import PolytopeModel
 
@@ -52,6 +52,45 @@ def test_variable_and_row_layout(pp, ts30, quick_bundles):
     )
     n_flow_rows = 2 * sum(1 for br in ts30.branches if br.s_max > 0 and br.status)
     assert len(h) == n_flow_rows + n_facets + n_chart_rows
+
+
+def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
+    # free DGs and idle pseudo sources leave exactly the TS's own OPF
+    free = {
+        ds: dataclasses.replace(b, costs=[CostPoly(0.0, 0.0, 0.0)] * b.n_dg)
+        for ds, b in quick_bundles.items()
+    }
+    problem = assemble_pp(ts30, free, charts_enforced=True).problem
+    std = assemble_standard(ts30)
+    nb, n = std.n, ts30.n_bus
+    for got, want in ((problem.x0, std.x0), (problem.lb, std.lb), (problem.ub, std.ub)):
+        assert np.array_equal(got[:nb], want)
+    n_flow = len(std.ineq(std.x0)[0])
+    lo = np.where(np.isfinite(problem.lb), problem.lb, -1.0)
+    hi = np.where(np.isfinite(problem.ub), problem.ub, 1.0)
+    for _ in range(3):
+        x = lo + rng.uniform(size=problem.n) * (hi - lo)
+        x[problem.var_slices["px"]] = 0.0
+        x[problem.var_slices["qx"]] = 0.0
+        g, jg = problem.eq(x)
+        g_std, jg_std = std.eq(x[:nb])
+        assert np.array_equal(g[: 2 * n], g_std)
+        assert np.array_equal(jg[: 2 * n, :nb], jg_std)
+        h, jh = problem.ineq(x)
+        h_std, jh_std = std.ineq(x[:nb])
+        assert np.array_equal(h[:n_flow], h_std)
+        assert np.array_equal(jh[:n_flow, :nb], jh_std)
+        assert problem.objective(x)[0] == std.objective(x[:nb])[0]
+        lam = rng.normal(size=len(g))
+        mu = rng.uniform(size=len(h))
+        hess = problem.lag_hess(x, 0.5, lam, mu)
+        hess_std = std.lag_hess(x[:nb], 0.5, lam[: 2 * n], mu[:n_flow])
+        assert np.array_equal(hess[:nb, :nb], hess_std)
+
+
+def test_ts_generators_are_not_dgs(pp):
+    # the DGs are the x_j blocks; no TS generator column takes chart rows
+    assert pp.problem.meta.get("dg_gens", []) == []
 
 
 def test_assembly_requires_full_pcc_coverage(ts30, quick_bundles):

@@ -141,14 +141,19 @@ def test_generate_dataset_worker_count_invariance(ds1):
 
 
 def test_generate_dataset_all_feasible_when_unconstrained(ds1):
+    # loose bands everywhere except the PCC, whose band is the sampled range
+    pcc = {ds_bus for ds_bus, _ in ds1.pcc_map[1]}
     relaxed = dataclasses.replace(
         ds1,
-        buses=[dataclasses.replace(b, v_min=0.5, v_max=1.5) for b in ds1.buses],
+        buses=[
+            dataclasses.replace(b, v_min=0.99, v_max=1.05)
+            if b.id in pcc
+            else dataclasses.replace(b, v_min=0.5, v_max=1.5)
+            for b in ds1.buses
+        ],
         branches=[dataclasses.replace(br, s_max=0.0) for br in ds1.branches],
-        _ybus=None,
-        _index=None,
     )
-    ds = generate_dataset(relaxed, 100, seed=2, v_band=(0.99, 1.05))
+    ds = generate_dataset(relaxed, 100, seed=2)
     assert ds.feasible_fraction == 1.0
 
 
