@@ -23,6 +23,7 @@ from .netmodel import CostPoly, PQChart, polygon_from_vertices
 from .sampling import Dataset
 
 F_CLAMP = 30.0  # sigmoid saturates to within 1e-13 beyond this
+FORWARD_ROWS = 128  # rows of W x + b formed at once, 1 MB at 1000 nodes
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +56,35 @@ class PolytopeModel:
         return -self.b
 
 
+def _max_node(model: PolytopeModel, x: np.ndarray):
+    """(k, f) for each row of x: the first argmax k of o = W x + b, and f = o[k].
+
+    o is formed FORWARD_ROWS rows at a time and b is added in place, so one
+    block stays in cache; a (rows, n_h) array for a whole batch, plus its sum
+    with b, is fresh memory that page-faults on every training step.  With
+    two or more nodes, a block of two or more rows rounds as the whole
+    product does, so no block is left with a single row: BLAS computes a
+    one-row product by another kernel.
+    """
+    n = len(x)
+    k = np.empty(n, dtype=np.intp)
+    f = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = lo + FORWARD_ROWS
+        if hi == n - 1:
+            hi = n
+        o = x[lo:hi] @ model.w.T
+        o += model.b
+        k[lo:hi] = kb = o.argmax(axis=1)
+        f[lo:hi] = o[np.arange(len(o)), kb]
+        lo = hi
+    return k, f
+
+
 def nn_forward(model: PolytopeModel, x: np.ndarray):
     """(f, y) for one point or a batch: f = max(Wx + b), y = sigmoid(f)."""
-    o = np.atleast_2d(x) @ model.w.T + model.b
-    f = o.max(axis=1)
+    _, f = _max_node(model, np.atleast_2d(x))
     y = 1.0 / (1.0 + np.exp(-np.clip(f, -F_CLAMP, F_CLAMP)))
     if np.ndim(x) == 1:
         return float(f[0]), float(y[0])
@@ -67,8 +93,8 @@ def nn_forward(model: PolytopeModel, x: np.ndarray):
 
 def classify(model: PolytopeModel, x: np.ndarray, tol: float = 0.0):
     """0 (feasible) iff max(a_fr . x - b_fr) <= tol, else 1; batch-aware."""
-    o = np.atleast_2d(x) @ model.w.T + model.b
-    label = (o.max(axis=1) > tol).astype(np.int8)
+    _, f = _max_node(model, np.atleast_2d(x))
+    label = (f > tol).astype(np.int8)
     if np.ndim(x) == 1:
         return int(label[0])
     return label
@@ -83,17 +109,18 @@ def loss_and_grad(model: PolytopeModel, x: np.ndarray, y: np.ndarray, w_10: floa
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float)
-    o = x @ model.w.T + model.b
-    k = np.argmax(o, axis=1)
-    f = np.clip(o[np.arange(len(x)), k], -F_CLAMP, F_CLAMP)
+    k, f = _max_node(model, x)
+    f = np.clip(f, -F_CLAMP, F_CLAMP)
     # -log sigmoid(f) = softplus(-f), -log(1 - sigmoid(f)) = softplus(f)
     loss = float(np.sum(w_10 * y * np.logaddexp(0.0, -f) + w_01 * (1.0 - y) * np.logaddexp(0.0, f)))
     sig = 1.0 / (1.0 + np.exp(-f))
     dldf = w_10 * y * (sig - 1.0) + w_01 * (1.0 - y) * sig
-    grad_w = np.zeros_like(model.w)
-    np.add.at(grad_w, k, dldf[:, None] * x)
-    grad_b = np.zeros(model.n_h)
-    np.add.at(grad_b, k, dldf)
+    # bincount sums each entry's terms in row order, as np.add.at does
+    n_h, n_x = model.w.shape
+    slots = (k[:, None] * n_x + np.arange(n_x)).ravel()
+    grad_w = np.bincount(slots, weights=(dldf[:, None] * x).ravel(), minlength=n_h * n_x)
+    grad_w = grad_w.reshape(n_h, n_x)
+    grad_b = np.bincount(k, weights=dldf, minlength=n_h)
     return loss, grad_w, grad_b
 
 

@@ -107,6 +107,30 @@ def test_loss_weights_scale_terms(rng):
     assert abs(l_w - (3.0 * l_1 + 0.5 * l_0)) < 1e-10
 
 
+def test_blocked_forward_is_bitwise_the_plain_formula(rng):
+    # 300 rows span three forward blocks; duplicate rows make repeated argmax
+    # nodes, so the gradient sums several terms per node
+    model = PolytopeModel(rng.normal(size=(50, 6)), rng.normal(size=50) * 10)
+    x = rng.normal(size=(300, 6))
+    x[150:] = x[:150]
+    y = (rng.uniform(size=300) < 0.5).astype(float)
+    o = x @ model.w.T + model.b
+    k = np.argmax(o, axis=1)
+    f = o[np.arange(300), k]
+    sig = 1.0 / (1.0 + np.exp(-np.clip(f, -30.0, 30.0)))
+    dldf = 2.0 * y * (sig - 1.0) + (1.0 - y) * sig
+    gw_ref = np.zeros_like(model.w)
+    np.add.at(gw_ref, k, dldf[:, None] * x)
+    gb_ref = np.zeros(50)
+    np.add.at(gb_ref, k, dldf)
+
+    _, gw, gb = loss_and_grad(model, x, y, 2.0, 1.0)
+    assert np.array_equal(gw, gw_ref) and np.array_equal(gb, gb_ref)
+    assert np.array_equal(nn_forward(model, x)[0], o.max(axis=1))
+    assert np.array_equal(classify(model, x), (o.max(axis=1) > 0).astype(np.int8))
+    assert nn_forward(model, x[7])[0] == o[7].max()
+
+
 def tie_free_batch(rng, model, rows, gap=1e-4):
     """Batch whose per-row argmax is robust to FD-sized parameter nudges."""
     while True:
