@@ -6,7 +6,8 @@ as equalities, squared apparent-power line limits as inequalities, operating
 ranges as box bounds, quadratic generation cost as the objective.
 solve_nlp is a dense primal-dual interior-point method in the MATPOWER/MIPS
 mold, driven by the exact analytic Lagrangian Hessian that every problem
-supplies.
+supplies.  It keeps box bounds as vectors (box_bounds) rather than
+constraint rows, and holds a column with lb == ub at its bound.
 
 The privacy-preserving formulation (see the ppopf module) is this standard
 problem over the transmission case, extended by surrogate blocks.
@@ -354,9 +355,8 @@ class OpfSolution:
     constraint_violation: float
     lam: np.ndarray  # equality multipliers (user rows)
     mu: np.ndarray  # inequality multipliers (user rows)
+    mu_box: np.ndarray  # bound multipliers, in box_bounds order
     message: str = ""
-    lam_all: np.ndarray | None = None  # multipliers including folded box rows
-    mu_all: np.ndarray | None = None
     # populated when the problem carries OPF variable slices
     theta: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -369,48 +369,22 @@ class OpfSolution:
         return self.status == "optimal"
 
 
-class _Folded:
-    """User problem with box bounds folded into constraint rows.
+def box_bounds(problem: NlpProblem):
+    """The box of a problem as (pinned mask, column, sign, cap) vectors.
 
-    Equal lower/upper bounds become equality rows; finite bounds become
-    inequality rows.  User rows come first in both blocks so multiplier
-    slices stay stable.
+    A column with lb == ub is pinned to its bound.  Every finite bound of
+    another column is one row sign * (x[column] - cap) <= 0: first the upper
+    bounds (sign +1) in column order, then the lower bounds (sign -1).
     """
-
-    def __init__(self, p: NlpProblem):
-        self.p = p
-        lb, ub = p.lb, p.ub
-        if np.any(lb > ub):
-            raise ValueError("empty box: lb > ub")
-        self.pin_idx = np.flatnonzero(lb == ub)
-        free = lb < ub
-        self.lo_idx = np.flatnonzero(np.isfinite(lb) & free)
-        self.hi_idx = np.flatnonzero(np.isfinite(ub) & free)
-        self.n = p.n
-        g0, _ = p.eq(p.x0)
-        h0, _ = p.ineq(p.x0)
-        self.m_eq_user = len(g0)
-        self.m_ineq_user = len(h0)
-
-    def eval(self, x):
-        p = self.p
-        g, jg = p.eq(x)
-        h, jh = p.ineq(x)
-        n = self.n
-        pin = np.zeros((len(self.pin_idx), n))
-        pin[np.arange(len(self.pin_idx)), self.pin_idx] = 1.0
-        hi = np.zeros((len(self.hi_idx), n))
-        hi[np.arange(len(self.hi_idx)), self.hi_idx] = 1.0
-        lo = np.zeros((len(self.lo_idx), n))
-        lo[np.arange(len(self.lo_idx)), self.lo_idx] = -1.0
-        g_all = np.concatenate([g, x[self.pin_idx] - p.lb[self.pin_idx]])
-        jg_all = np.vstack([jg, pin])
-        h_all = np.concatenate(
-            [h, x[self.hi_idx] - p.ub[self.hi_idx], p.lb[self.lo_idx] - x[self.lo_idx]]
-        )
-        jh_all = np.vstack([jh, hi, lo])
-        return g_all, jg_all, h_all, jh_all
-
+    lb, ub = problem.lb, problem.ub
+    if np.any(lb > ub):
+        raise ValueError("empty box: lb > ub")
+    pinned = lb == ub
+    hi = np.flatnonzero(np.isfinite(ub) & ~pinned)
+    lo = np.flatnonzero(np.isfinite(lb) & ~pinned)
+    col = np.concatenate([hi, lo])
+    sign = np.concatenate([np.ones(len(hi)), -np.ones(len(lo))])
+    return pinned, col, sign, np.concatenate([ub[hi], lb[lo]])
 
 
 # iterates may transiently overflow on diverging problems before the
@@ -420,19 +394,37 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     """Primal-dual interior-point solve of an NlpProblem.
 
     Newton steps on the perturbed KKT system in reduced form, fraction-to-
-    boundary step clipping, multiplicative barrier reduction.  Failure to
-    reduce the residuals within the iteration cap yields iteration_limit, or
-    infeasible when the final violation is far above tolerance.
+    boundary step clipping, multiplicative barrier reduction.  Box bounds
+    stay vectors: a finite bound is an inequality row with one +-1 entry,
+    so its terms in the KKT system are a diagonal add and an index, and a
+    pinned column is held at its bound outside the Newton system.  Bound
+    slacks and multipliers count in the convergence tests like those of the
+    user rows; a pinned column's stationarity does not, as its multiplier is
+    free.  Failure to reduce the residuals within the iteration cap
+    yields iteration_limit, or infeasible when the final violation is far
+    above tolerance.
     """
     opts = opts or NlpOptions()
     t0 = time.perf_counter()
-    fold = _Folded(problem)
+    pinned, col, sign, cap = box_bounds(problem)
     x = problem.x0.astype(float).copy()
+    x[pinned] = problem.lb[pinned]
     n = len(x)
+    fc = np.flatnonzero(~pinned)  # the columns of the Newton system
+    nf = len(fc)
+
+    def evaluate(x):
+        g, jg = problem.eq(x)
+        h, jh = problem.ineq(x)
+        return g, jg, np.concatenate([h, sign * (x[col] - cap)]), jh
+
+    def jh_t(jh, w):
+        """Jh^T w over the user rows and the bound rows."""
+        return jh.T @ w[:nh] + np.bincount(col, weights=sign * w[nh:], minlength=n)
 
     f, df = problem.objective(x)
-    g, jg, h, jh = fold.eval(x)
-    neq, niq = len(g), len(h)
+    g, jg, h, jh = evaluate(x)
+    neq, niq, nh = len(g), len(h), len(jh)
     lam = np.zeros(neq)
     z = np.ones(niq)
     mu = np.ones(niq)
@@ -443,13 +435,13 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     mu[k] = gamma / z[k]
 
     def residuals(f, df, g, h, jg, jh, lam, mu, x, z):
-        lx = df + jg.T @ lam + jh.T @ mu if neq or niq else df.copy()
+        lx = df + jg.T @ lam + jh_t(jh, mu)
         maxh = np.max(h) if niq else 0.0
         maxg = np.max(np.abs(g)) if neq else 0.0
         normx = max(np.max(np.abs(x)), 1.0)
         normz = np.max(np.abs(z)) if niq else 0.0
         feascond = max(maxg, maxh) / (1 + max(normx, normz))
-        gradcond = np.max(np.abs(lx)) / (
+        gradcond = np.max(np.abs(lx[fc]), initial=0.0) / (
             1 + max(np.max(np.abs(lam)) if neq else 0.0, np.max(np.abs(mu)) if niq else 0.0)
         )
         compcond = (z @ mu) / (1 + np.max(np.abs(x))) / max(niq, 1) if niq else 0.0
@@ -464,25 +456,25 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
 
     while not converged and it < opts.max_iter:
         it += 1
-        hess = problem.lag_hess(x, 1.0, lam[: fold.m_eq_user], mu[: fold.m_ineq_user])
+        hess = problem.lag_hess(x, 1.0, lam, mu[:nh])
         zinv = 1.0 / z
-        if niq:
-            m = hess + (jh.T * (mu * zinv)) @ jh
-            nvec = lx + jh.T @ (zinv * (gamma + mu * h))
-        else:
-            m = hess.copy()
-            nvec = lx.copy()
+        m = hess + (jh.T * (mu[:nh] * zinv[:nh])) @ jh
+        m[np.diag_indices(n)] += np.bincount(col, weights=mu[nh:] * zinv[nh:], minlength=n)
+        nvec = lx + jh_t(jh, zinv * (gamma + mu * h))
+        m = m[np.ix_(fc, fc)]
+        jg_f = jg[:, fc]
 
-        dx = dlam = None
+        dx = np.zeros(n)
+        dlam = None
         reg = 0.0
         for attempt in range(7):
-            kkt = np.zeros((n + neq, n + neq))
-            kkt[:n, :n] = m + reg * np.eye(n)
+            kkt = np.zeros((nf + neq, nf + neq))
+            kkt[:nf, :nf] = m + reg * np.eye(nf)
             if neq:
-                kkt[:n, n:] = jg.T
-                kkt[n:, :n] = jg
-                kkt[n:, n:] = -reg * np.eye(neq)
-            rhs = np.concatenate([-nvec, -g])
+                kkt[:nf, nf:] = jg_f.T
+                kkt[nf:, :nf] = jg_f
+                kkt[nf:, nf:] = -reg * np.eye(neq)
+            rhs = np.concatenate([-nvec[fc], -g])
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
@@ -491,14 +483,14 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             if not np.all(np.isfinite(sol)):
                 reg = max(10 * reg, 1e-10)
                 continue
-            dx, dlam = sol[:n], sol[n:]
+            dx[fc], dlam = sol[:nf], sol[nf:]
             break
-        if dx is None:
+        if dlam is None:
             message = "KKT system singular beyond regularization"
             break
 
         if niq:
-            dz = -h - z - jh @ dx
+            dz = -h - z - np.concatenate([jh @ dx, sign * dx[col]])
             dmu = -mu + zinv * (gamma - mu * dz)
             kz = dz < 0
             alphap = min(1.0, opts.xi * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
@@ -515,7 +507,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         lam = lam + alphad * dlam
 
         f, df = problem.objective(x)
-        g, jg, h, jh = fold.eval(x)
+        g, jg, h, jh = evaluate(x)
         if niq:
             gamma = opts.sigma * (z @ mu) / niq
         lx, feascond, gradcond, compcond = residuals(f, df, g, h, jg, jh, lam, mu, x, z)
@@ -553,11 +545,10 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         iterations=it,
         solve_time=elapsed,
         constraint_violation=violation,
-        lam=lam[: fold.m_eq_user],
-        mu=mu[: fold.m_ineq_user],
+        lam=lam,
+        mu=mu[:nh],
+        mu_box=mu[nh:],
         message=message,
-        lam_all=lam,
-        mu_all=mu,
     )
     _attach_opf_views(problem, sol)
     return sol
@@ -607,21 +598,25 @@ class KktReport:
 def kkt_report(problem: NlpProblem, sol: OpfSolution) -> KktReport:
     """First-order optimality residuals of a solution, from analytic derivatives.
 
-    Box-bound rows are folded in exactly as the solver saw them and evaluated
-    with the solver's full multiplier vectors, so an optimal solve reports
-    residuals at the solver's own tolerance.
+    The bound rows are built from box_bounds exactly as the solver saw them
+    and weighted by sol.mu_box, so an optimal solve reports residuals at the
+    solver's own tolerance.  A pinned column carries a free multiplier, so
+    stationarity skips it, and its distance from the bound counts as an
+    equality residual.
     """
-    fold = _Folded(problem)
+    pinned, col, sign, cap = box_bounds(problem)
     x = sol.x
     _, df = problem.objective(x)
-    g, jg, h, jh = fold.eval(x)
-    lam = sol.lam_all if sol.lam_all is not None else np.zeros(len(g))
-    mu = sol.mu_all if sol.mu_all is not None else np.zeros(len(h))
-    lx = df + jg.T @ lam + jh.T @ mu
+    g, jg = problem.eq(x)
+    h, jh = problem.ineq(x)
+    h = np.concatenate([h, sign * (x[col] - cap)])
+    g = np.concatenate([g, x[pinned] - problem.lb[pinned]])
+    mu = np.concatenate([sol.mu, sol.mu_box])
+    lx = df + jg.T @ sol.lam + jh.T @ sol.mu + np.bincount(col, sign * sol.mu_box, len(x))
     # scaled as in the solver's convergence test
     comp = np.max(np.abs(mu * h)) / (1 + np.max(np.abs(x))) if len(h) else 0.0
     return KktReport(
-        stationarity=float(np.max(np.abs(lx))),
+        stationarity=float(np.max(np.abs(lx[~pinned]), initial=0.0)),
         primal_eq=float(np.max(np.abs(g))) if len(g) else 0.0,
         primal_ineq=float(max(np.max(h), 0.0)) if len(h) else 0.0,
         complementarity=float(comp),

@@ -14,12 +14,11 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .acopf import NlpOptions, solve_standard
+from .acopf import NlpOptions, OpfSolution, solve_standard
 from .bench import emit_histogram, report_from_json, report_to_json, run_benchmark, summarize
 from .netmodel import CostPoly, NetworkCase, build_integrated, bundled_case, load_case
 from .ppopf import assemble_pp, solve_pp, verify_dispatch
@@ -121,18 +120,6 @@ def load_pq_models(path) -> list[dict]:
     return [pcc_from_dict(m, u) for u, m in enumerate(d["models"])]
 
 
-@dataclass
-class _LoadedSolution:
-    status: str
-    objective: float
-    solve_time: float
-    x_ds: dict
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
-
 def save_solution(sol, path, command: str, case_name: str, mode: str) -> None:
     d = {
         "kind": "pp_solution" if mode == "pp" else "opf_solution",
@@ -150,13 +137,24 @@ def save_solution(sol, path, command: str, case_name: str, mode: str) -> None:
         fh.write("\n")
 
 
-def load_solution(path) -> _LoadedSolution:
+def load_solution(path) -> OpfSolution:
+    """A saved coupled solve; the file keeps no multipliers or violation."""
     with open(path) as fh:
         d = json.load(fh)
     if d.get("kind") != "pp_solution":
         raise ValueError(f"{path}: not a coupled-solve solution file")
-    x_ds = {int(ds): np.asarray(xj, dtype=float) for ds, xj in d.get("x_ds", {}).items()}
-    return _LoadedSolution(d["status"], float(d["objective"]), float(d["solve_time"]), x_ds)
+    return OpfSolution(
+        x=np.asarray(d["x"], dtype=float),
+        objective=float(d["objective"]),
+        status=d["status"],
+        iterations=int(d["iterations"]),
+        solve_time=float(d["solve_time"]),
+        constraint_violation=float("nan"),
+        lam=np.zeros(0),
+        mu=np.zeros(0),
+        mu_box=np.zeros(0),
+        x_ds={int(ds): np.asarray(xj, dtype=float) for ds, xj in d.get("x_ds", {}).items()},
+    )
 
 
 def _load_bundles(paths) -> dict[int, SurrogateBundle]:

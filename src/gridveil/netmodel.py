@@ -60,6 +60,8 @@ class Branch:
             raise ValueError(f"branch {self.from_bus}-{self.to_bus}: r must be >= 0")
         if self.x == 0:
             raise ValueError(f"branch {self.from_bus}-{self.to_bus}: x must be nonzero")
+        if self.status not in (0, 1):
+            raise ValueError(f"branch {self.from_bus}-{self.to_bus}: status must be 0 or 1")
 
 
 @dataclass(frozen=True)

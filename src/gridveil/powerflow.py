@@ -344,6 +344,9 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray, tables: DsTables | None 
     v, ibus, f, norm = evaluate(slice(None))
     failed = ~np.isfinite(norm)
     active = np.flatnonzero(norm > tol)
+    # one Jacobian buffer per call: each iteration fills the pattern of a
+    # leading slice, and the entries off the pattern stay zero
+    jac_buf = np.zeros((len(active), 4 * m * m))
     for _ in range(max_iter):
         if not active.size:
             break
@@ -362,7 +365,7 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray, tables: DsTables | None 
         vals[:, nnz + dg] += d_vm.real
         vals[:, 2 * nnz + dg] += d_va.real
         vals[:, 3 * nnz + dg] += d_vm.imag
-        jac = np.zeros((len(active), 4 * m * m))
+        jac = jac_buf[: len(active)]
         jac[:, t.jac_pos] = vals
 
         dx, ok = _newton_steps(jac.reshape(-1, 2 * m, 2 * m), f[active])

@@ -331,7 +331,8 @@ def verify_dispatch(
     # regression error at the verified operating point: re-evaluate each
     # bundle at (re-solved PCC voltages, pinned DG setpoints)
     sf, st = line_flows(pinned, v)
-    branch_ds = pinned.meta["branch_ds"]
+    tab = pinned.branch_table
+    branch_ds = np.array([-1 if d is None else d for d in pinned.meta["branch_ds"]])
     base = pinned.base_mva
     err = 0.0
     for ds in dg_map:
@@ -340,15 +341,10 @@ def verify_dispatch(
         xj = pp_solution.x_ds[ds].copy()
         for u, bus in enumerate(ts_buses):
             xj[u] = abs(v[pinned.bus_index(bus)])
+        own = tab.closed & (branch_ds == ds)
         for u, bus in enumerate(ts_buses):
-            into_ds = 0j
-            for bi, br in enumerate(pinned.branches):
-                if branch_ds[bi] != ds or br.status != 1:
-                    continue
-                if br.from_bus == bus:
-                    into_ds += sf[bi]
-                elif br.to_bus == bus:
-                    into_ds += st[bi]
+            i = pinned.bus_index(bus)
+            into_ds = sf[own & (tab.f == i)].sum() + st[own & (tab.t == i)].sum()
             # consumption seen from the TS, per unit
             t_actual_p = into_ds.real / base
             t_actual_q = into_ds.imag / base

@@ -97,7 +97,41 @@ def test_solver_active_linear_constraint():
     assert sol.optimal
     assert abs(sol.objective - 1.0) < 1e-7
     assert sol.mu[0] > 0.9  # facet is binding with multiplier ~1
-    assert np.min(sol.mu_all) > -1e-9
+    assert np.min(sol.mu_box) > -1e-9
+
+
+def test_solver_bound_multipliers():
+    # min (x0 - 3)^2 + (x1 - 0.5)^2 on [0, 2]^2: x0 rests on its upper bound
+    def obj(x):
+        return float((x[0] - 3.0) ** 2 + (x[1] - 0.5) ** 2), 2 * (x - np.array([3.0, 0.5]))
+
+    p = NlpProblem(
+        x0=np.ones(2),
+        lb=np.zeros(2),
+        ub=np.full(2, 2.0),
+        objective=obj,
+        lag_hess=lambda x, sigma, lam, mu: sigma * 2 * np.eye(2),
+    )
+    sol = solve_nlp(p, TIGHT)
+    assert sol.optimal
+    assert np.allclose(sol.x, [2.0, 0.5], atol=1e-6)
+    # upper bounds in column order, then lower bounds
+    assert sol.mu_box.shape == (4,)
+    assert np.min(sol.mu_box) > -1e-9
+    assert abs(sol.mu_box[0] - 2.0) < 1e-6
+    assert np.max(sol.mu_box[1:]) < 1e-6
+
+
+def test_solver_rejects_empty_box():
+    p = NlpProblem(
+        x0=np.zeros(2),
+        lb=np.array([0.0, 1.0]),
+        ub=np.array([1.0, 0.0]),
+        objective=lambda x: (0.0, np.zeros(2)),
+        lag_hess=lambda x, sigma, lam, mu: np.zeros((2, 2)),
+    )
+    with pytest.raises(ValueError, match="empty box"):
+        solve_nlp(p)
 
 
 def test_opf_toy_case_views(toy3):
@@ -232,6 +266,37 @@ def test_kkt_flags_perturbed_dispatch(toy3):
     sol.x[p.var_slices["pg"].start] += 0.01
     rep = kkt_report(p, sol)
     assert rep.stationarity > 100 * max(rep0.stationarity, 1e-9) or rep.primal_eq > 1e-4
+
+
+def _verification_shaped(case, dg):
+    """case with generator dg pinned to its OPF setpoint, as verify_dispatch pins DGs."""
+    sol = solve_standard(case, TIGHT)
+    gens = list(case.generators)
+    p, q = sol.p_g[dg], sol.q_g[dg]
+    gens[dg] = dataclasses.replace(gens[dg], p_min=p, p_max=p, q_min=q, q_max=q)
+    return assemble_standard(dataclasses.replace(case, generators=gens))
+
+
+def test_kkt_clean_at_verification_optimum(toy3):
+    p = _verification_shaped(toy3, 1)
+    sol = solve_nlp(p, TIGHT)
+    assert sol.optimal
+    pinned = p.lb == p.ub
+    assert pinned.sum() == 3  # slack angle, then the DG's p and q
+    assert np.array_equal(sol.x[pinned], p.lb[pinned])
+    rep = kkt_report(p, sol)
+    assert rep.ok(1e-6), rep
+
+
+def test_kkt_flags_perturbed_free_column_at_verification_optimum(toy3):
+    p = _verification_shaped(toy3, 1)
+    sol = solve_nlp(p, TIGHT)
+    rep0 = kkt_report(p, sol)
+    moved = dataclasses.replace(sol, x=sol.x.copy())
+    moved.x[p.var_slices["pg"].start] += 0.01  # the free slack generator
+    rep = kkt_report(p, moved)
+    assert rep.stationarity > 100 * max(rep0.stationarity, 1e-9) or rep.primal_eq > 1e-4
+    assert not rep.ok(1e-6)
 
 
 # ------------------------------------------------- derivative verification

@@ -78,6 +78,14 @@ def test_pcc_bus_listed_twice_rejected(ds1):
         parse_case(text)
 
 
+def test_branch_status_other_than_0_or_1_rejected(ds1):
+    lines = serialize_case(ds1).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("branch "))
+    lines[k] = lines[k].rsplit(" ", 1)[0] + " 2"
+    with pytest.raises(CaseFormatError, match=f"line {k + 1}: .*status must be 0 or 1"):
+        parse_case("\n".join(lines) + "\n")
+
+
 def test_build_integrated_names_unknown_ts_bus(ts30, ds1):
     bad = dataclasses.replace(ds1, pcc_map={1: ((1, 999),)})
     with pytest.raises(ValueError, match="unknown TS bus 999"):
