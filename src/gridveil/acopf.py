@@ -3,11 +3,16 @@
 assemble_standard builds the full nonlinear program for a transmission or
 integrated case over x = (theta, vm, p_g, q_g) in per unit: bus power balance
 as equalities, squared apparent-power line limits as inequalities, operating
-ranges as box bounds, quadratic generation cost as the objective.
+ranges as box bounds, quadratic generation cost as the objective.  Its
+derivatives use the structure of the network: a branch-end flow row touches
+two buses, so its Jacobian row has two entries per coordinate and its
+Hessian is a 4x4 block scattered with np.bincount; the bus-injection
+Hessian is formed by broadcasting over Ybus, in O(n^2).
 solve_nlp is a dense primal-dual interior-point method in the MATPOWER/MIPS
 mold, driven by the exact analytic Lagrangian Hessian that every problem
 supplies.  It keeps box bounds as vectors (box_bounds) rather than
-constraint rows, and holds a column with lb == ub at its bound.
+constraint rows, holds a column with lb == ub at its bound, and works on
+constant linear rows only over the columns they touch.
 
 The privacy-preserving formulation (see the ppopf module) is this standard
 problem over the transmission case, extended by surrogate blocks.
@@ -21,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netmodel import NetworkCase, PQChart, branch_admittances
+from .netmodel import NetworkCase, PQChart
 from .powerflow import dSbus_dV
 
 
@@ -31,93 +36,122 @@ from .powerflow import dSbus_dV
 
 
 class BranchSet:
-    """Admittance and incidence rows of the rated, closed branches of a case.
+    """The rated, closed branch ends of a case, as (bus, admittance) pairs.
 
-    Flow at one end is S = diag(C V) conj(Yb V) with C the end's incidence;
-    both ends of every rated branch contribute one squared-magnitude
-    constraint row.
+    Row r meters bus i = bus[r, 0] and reaches bus k = bus[r, 1]; the current
+    leaving i into the branch is y[r, 0] V_i + y[r, 1] V_k, so the flow is
+    S = V_i conj(y[r, 0] V_i + y[r, 1] V_k).  Both ends of every rated
+    branch contribute one squared-magnitude constraint row: the from-end
+    rows, then the to-end rows.
     """
 
     def __init__(self, case: NetworkCase):
-        yf, yt, fidx, tidx = branch_admittances(case)
-        rated = case.branch_table.rated
-        self.branch_index = np.flatnonzero(rated)
-        self.n_rows = 2 * len(self.branch_index)
-        self.yb = np.vstack([yf[rated], yt[rated]])  # from-end rows, then to-end
-        self.cidx = np.concatenate([fidx[rated], tidx[rated]])  # metered bus per row
-        self.c_rows = np.zeros_like(self.yb)  # incidence of the metered bus
-        self.c_rows[np.arange(self.n_rows), self.cidx] = 1.0
-        lim = [(case.branches[i].s_max / case.base_mva) ** 2 for i in self.branch_index]
-        self.limit_sq = np.array(lim + lim, dtype=float)
+        tab = case.branch_table
+        rated = tab.rated
+        f, t = tab.f[rated], tab.t[rated]
+        self.n_rows = 2 * len(f)
+        self.n_bus = case.n_bus
+        self.bus = np.stack([np.concatenate([f, t]), np.concatenate([t, f])], axis=1)
+        self.y = np.stack(
+            [
+                np.concatenate([tab.yff[rated], tab.ytt[rated]]),
+                np.concatenate([tab.yft[rated], tab.ytf[rated]]),
+            ],
+            axis=1,
+        )
+        lim = (tab.s_max[rated] / case.base_mva) ** 2
+        self.limit_sq = np.concatenate([lim, lim])
+        # (theta_i, theta_k, vm_i, vm_k) of each row, as positions in (theta, vm)
+        n = self.n_bus
+        cols = np.concatenate([self.bus, n + self.bus], axis=1)
+        self._hess_at = (cols[:, :, None] * (2 * n) + cols[:, None, :]).ravel()
+
+    def _terms(self, v: np.ndarray):
+        """Per row: V_i, S, and the far-end term P = V_i conj(y[r, 1] V_k)."""
+        vi, vk = v[self.bus[:, 0]], v[self.bus[:, 1]]
+        s = vi * np.conj(self.y[:, 0] * vi + self.y[:, 1] * vk)
+        return vi, vk, s, vi * np.conj(self.y[:, 1] * vk)
 
     def flows(self, v: np.ndarray) -> np.ndarray:
-        return v[self.cidx] * np.conj(self.yb @ v)
+        return self._terms(v)[2]
 
     def flow_jacobian(self, v: np.ndarray):
-        """dS/dVa and dS/dVm for every constraint row (complex, rows x n_bus)."""
-        vnorm = v / np.abs(v)
-        ib = self.yb @ v
-        vc = v[self.cidx]
-        ds_dva = 1j * (
-            np.conj(ib)[:, None] * self.c_rows * v[None, :]
-            - vc[:, None] * np.conj(self.yb * v[None, :])
-        )
-        ds_dvm = vc[:, None] * np.conj(self.yb * vnorm[None, :]) + np.conj(ib)[
-            :, None
-        ] * self.c_rows * vnorm[None, :]
+        """dS/dVa and dS/dVm of every row at its buses (i, k): complex (rows, 2).
+
+        With P = V_i conj(y[r, 1] V_k), dS/dtheta = (jP, -jP) and
+        dS/dvm = (2 conj(y[r, 0]) |V_i| + P / |V_i|, P / |V_k|).
+        """
+        vi, vk, _, p = self._terms(v)
+        mi = np.abs(vi)
+        ds_dva = np.stack([1j * p, -1j * p], axis=1)
+        ds_dvm = np.stack([2 * np.conj(self.y[:, 0]) * mi + p / mi, p / np.abs(vk)], axis=1)
         return ds_dva, ds_dvm
 
-    def sq_constraints(self, v: np.ndarray):
-        """h = |S|^2 - limit^2 and its Jacobian wrt (theta, vm)."""
+    def sq_constraints(self, v: np.ndarray, width: int | None = None):
+        """h = |S|^2 - limit^2 and its Jacobian (rows x width), theta then vm columns."""
+        n = self.n_bus
         s = self.flows(v)
         h = s.real**2 + s.imag**2 - self.limit_sq
         ds_dva, ds_dvm = self.flow_jacobian(v)
-        da = 2 * (s.real[:, None] * ds_dva.real + s.imag[:, None] * ds_dva.imag)
-        dm = 2 * (s.real[:, None] * ds_dvm.real + s.imag[:, None] * ds_dvm.imag)
-        return h, da, dm
+        jac = np.zeros((self.n_rows, width or 2 * n))
+        r = np.arange(self.n_rows)
+        # two writes per row: a branch whose ends share a bus adds up
+        for off, ds in ((0, ds_dva), (n, ds_dvm)):
+            d = 2 * np.real(np.conj(s)[:, None] * ds)
+            jac[r, off + self.bus[:, 0]] = d[:, 0]
+            jac[r, off + self.bus[:, 1]] += d[:, 1]
+        return h, jac
 
     def sq_hessian(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Hessian of mu . |S|^2 wrt (theta, vm), real (2n x 2n)."""
-        s = self.flows(v)
-        ds_dva, ds_dvm = self.flow_jacobian(v)
-        lam = np.conj(s) * mu
-        # second derivative of lam . S, split into the four polar blocks
-        a = self.yb.conj().T @ (lam[:, None] * self.c_rows)
-        dv = np.conj(v)
-        b = dv[:, None] * a * v[None, :]
-        d = np.diag((a @ v) * dv)
-        e = np.diag((a.T @ dv) * v)
-        f_ = b + b.T
-        g = np.diag(1.0 / np.abs(v))
-        saa = f_ - d - e
-        sva = 1j * g @ (b - b.T - d + e)
-        sav = sva.T
-        svv = g @ f_ @ g
-        haa = 2 * np.real(saa + ds_dva.T @ (mu[:, None] * np.conj(ds_dva)))
-        hva = 2 * np.real(sva + ds_dvm.T @ (mu[:, None] * np.conj(ds_dva)))
-        hav = 2 * np.real(sav + ds_dva.T @ (mu[:, None] * np.conj(ds_dvm)))
-        hvv = 2 * np.real(svv + ds_dvm.T @ (mu[:, None] * np.conj(ds_dvm)))
-        return np.block([[haa, hav], [hva, hvv]])
+        """Hessian of mu . |S|^2 wrt (theta, vm), real (2n x 2n).
+
+        Per row, 2 Re(conj(S) d2S + dS dS^H) over (theta_i, theta_k, vm_i,
+        vm_k), weighted by mu and summed into place with np.bincount.
+        """
+        n = self.n_bus
+        vi, vk, s, p = self._terms(v)
+        mi, mk = np.abs(vi), np.abs(vk)
+        d1 = np.concatenate(self.flow_jacobian(v), axis=1)
+        d2 = np.zeros((self.n_rows, 4, 4), dtype=complex)
+        d2[:, :2, :2] = p[:, None, None] * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        tv = np.stack([1j * p / mi, 1j * p / mk], axis=1)  # d2S / dtheta_i dvm_(i, k)
+        d2[:, 0, 2:] = tv
+        d2[:, 1, 2:] = -tv
+        d2[:, 2:, :2] = np.swapaxes(d2[:, :2, 2:], 1, 2)
+        d2[:, 2, 2] = 2 * np.conj(self.y[:, 0])
+        d2[:, 2, 3] = d2[:, 3, 2] = p / (mi * mk)
+        blk = np.real(np.conj(s)[:, None, None] * d2 + d1[:, :, None] * np.conj(d1[:, None, :]))
+        w = (2 * mu)[:, None, None] * blk
+        return np.bincount(self._hess_at, weights=w.ravel(), minlength=4 * n * n).reshape(
+            2 * n, 2 * n
+        )
 
 
 def bus_injection_hessian(
     ybus: np.ndarray, v: np.ndarray, lam_p: np.ndarray, lam_q: np.ndarray
 ) -> np.ndarray:
-    """Hessian of lam_p . Re(S(V)) + lam_q . Im(S(V)) wrt (theta, vm)."""
+    """Hessian of lam_p . Re(S(V)) + lam_q . Im(S(V)) wrt (theta, vm).
+
+    MATPOWER's d2Sbus_dV2 blocks, with every product by a diagonal matrix
+    written as a broadcast: O(n^2) on a dense Ybus.
+    """
+    n = len(v)
     lam = lam_p - 1j * lam_q  # Re(lam^T S) reproduces both contractions
     ibus = ybus @ v
-    a = np.diag(lam * v)
-    b = ybus @ np.diag(v)
-    c = a @ np.conj(b)
-    d = ybus.conj().T @ np.diag(v)
-    e = np.conj(np.diag(v)) @ (d @ np.diag(lam) - np.diag(d @ lam))
-    f_ = c - a @ np.diag(np.conj(ibus))
-    g = np.diag(1.0 / np.abs(v))
-    gaa = e + f_
-    gva = 1j * g @ (e - f_)
-    gav = gva.T
-    gvv = g @ (c + c.T) @ g
-    return np.real(np.block([[gaa, gav], [gva, gvv]]))
+    a = lam * v
+    c = a[:, None] * np.conj(ybus * v[None, :])
+    d = ybus.conj().T * v[None, :]
+    e = np.conj(v)[:, None] * (d * lam[None, :])
+    e[np.diag_indices(n)] -= np.conj(v) * (d @ lam)
+    f_ = c.copy()
+    f_[np.diag_indices(n)] -= a * np.conj(ibus)
+    g = 1.0 / np.abs(v)
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = (e + f_).real
+    out[n:, :n] = -g[:, None] * (e - f_).imag  # Re(1j G (E - F))
+    out[:n, n:] = out[n:, :n].T
+    out[n:, n:] = g[:, None] * (c + c.T).real * g[None, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +161,14 @@ def bus_injection_hessian(
 
 @dataclass
 class NlpProblem:
-    """min f(x) s.t. g(x)=0, h(x)<=0, lb<=x<=ub, all callbacks smooth.
+    """min f(x) s.t. g(x)=0, h(x)<=0, a_lin x <= b_lin, lb<=x<=ub.
 
     objective(x) -> (f, grad); equalities/inequalities(x) -> (values, dense
-    Jacobian); lag_hess(x, sigma, lam, mu) -> sigma*d2f + d2g.lam + d2h.mu.
-    var_slices names the blocks of x for unpacking and reporting.
+    Jacobian) of the smooth rows; lag_hess(x, sigma, lam, mu) -> sigma*d2f +
+    d2g.lam + d2h.mu, where mu's leading entries belong to the inequalities
+    rows and any further ones (linear rows) carry no curvature.  The linear
+    rows a_lin x <= b_lin are constant data.  var_slices names the blocks of
+    x for unpacking and reporting.
     """
 
     x0: np.ndarray
@@ -143,6 +180,12 @@ class NlpProblem:
     inequalities: Callable | None = None
     var_slices: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    a_lin: np.ndarray | None = None
+    b_lin: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.a_lin is None:
+            self.a_lin, self.b_lin = np.zeros((0, self.n)), np.zeros(0)
 
     @property
     def n(self) -> int:
@@ -153,32 +196,24 @@ class NlpProblem:
             return np.zeros(0), np.zeros((0, self.n))
         return self.equalities(x)
 
-    def ineq(self, x):
+    def nonlinear_ineq(self, x):
+        """The inequalities rows alone, without the linear ones."""
         if self.inequalities is None:
             return np.zeros(0), np.zeros((0, self.n))
         return self.inequalities(x)
 
+    def ineq(self, x):
+        """Every inequality row: the nonlinear ones, then the linear ones."""
+        h, jh = self.nonlinear_ineq(x)
+        if not len(self.b_lin):
+            return h, jh
+        return np.concatenate([h, self.a_lin @ x - self.b_lin]), np.vstack([jh, self.a_lin])
+
 
 def append_linear_inequalities(problem: NlpProblem, a_new: np.ndarray, b_new: np.ndarray):
     """Extend problem with rows a_new @ x <= b_new (in place, returns problem)."""
-    old = problem.inequalities
-
-    def inequalities(x):
-        hv = a_new @ x - b_new
-        jv = a_new
-        if old is None:
-            return hv, jv.copy()
-        h0, j0 = old(x)
-        return np.concatenate([h0, hv]), np.vstack([j0, jv])
-
-    old_hess = problem.lag_hess
-
-    # linear rows contribute no curvature
-    def lag_hess(x, sigma, lam, mu):
-        return old_hess(x, sigma, lam, mu[: len(mu) - len(b_new)])
-
-    problem.lag_hess = lag_hess
-    problem.inequalities = inequalities
+    problem.a_lin = np.vstack([problem.a_lin, a_new])
+    problem.b_lin = np.concatenate([problem.b_lin, b_new])
     return problem
 
 
@@ -257,20 +292,14 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         return np.concatenate([mis.real, mis.imag]), jac
 
     def inequalities(x):
-        if branches.n_rows == 0:
-            return np.zeros(0), np.zeros((0, nx))
-        h, da, dm = branches.sq_constraints(voltages(x))
-        jac = np.zeros((branches.n_rows, nx))
-        jac[:, i_th] = da
-        jac[:, i_vm] = dm
-        return h, jac
+        return branches.sq_constraints(voltages(x), width=nx)
 
     def lag_hess(x, sigma, lam, mu):
         v = voltages(x)
         hess = np.zeros((nx, nx))
         hb = bus_injection_hessian(ybus, v, lam[:n], lam[n:])
         if branches.n_rows:
-            hb = hb + branches.sq_hessian(v, mu[: branches.n_rows])
+            hb += branches.sq_hessian(v, mu[: branches.n_rows])
         hess[: 2 * n, : 2 * n] = hb
         dpg = np.zeros(nx)
         dpg[i_pg] = sigma * 2 * ca
@@ -394,15 +423,19 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     """Primal-dual interior-point solve of an NlpProblem.
 
     Newton steps on the perturbed KKT system in reduced form, fraction-to-
-    boundary step clipping, multiplicative barrier reduction.  Box bounds
-    stay vectors: a finite bound is an inequality row with one +-1 entry,
-    so its terms in the KKT system are a diagonal add and an index, and a
-    pinned column is held at its bound outside the Newton system.  Bound
-    slacks and multipliers count in the convergence tests like those of the
-    user rows; a pinned column's stationarity does not, as its multiplier is
-    free.  Failure to reduce the residuals within the iteration cap
-    yields iteration_limit, or infeasible when the final violation is far
-    above tolerance.
+    boundary step clipping, multiplicative barrier reduction.  Inequality
+    rows come in three kinds, in this order in mu: the nonlinear rows with
+    their dense Jacobian; the constant linear rows, evaluated and weighted
+    only on the columns they touch, so that A_s^T W A_s enters one small
+    block of the KKT matrix; and the box bounds, kept as vectors: a finite
+    bound is a row with one +-1 entry, so its terms are a diagonal add and
+    an index, and a pinned column is held at its bound outside the Newton
+    system.  The KKT matrix is filled in one buffer per solve and factored
+    densely.  Bound slacks and multipliers count in the convergence tests
+    like those of the user rows; a pinned column's stationarity does not,
+    as its multiplier is free.  Failure to reduce the residuals within the
+    iteration cap yields iteration_limit, or infeasible when the final
+    violation is far above tolerance.
     """
     opts = opts or NlpOptions()
     t0 = time.perf_counter()
@@ -412,19 +445,24 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     n = len(x)
     fc = np.flatnonzero(~pinned)  # the columns of the Newton system
     nf = len(fc)
+    sup = np.flatnonzero(np.any(problem.a_lin != 0, axis=0))  # linear rows' columns
+    a_s, b_lin = problem.a_lin[:, sup], problem.b_lin
 
     def evaluate(x):
         g, jg = problem.eq(x)
-        h, jh = problem.ineq(x)
-        return g, jg, np.concatenate([h, sign * (x[col] - cap)]), jh
+        h, jh = problem.nonlinear_ineq(x)
+        return g, jg, np.concatenate([h, a_s @ x[sup] - b_lin, sign * (x[col] - cap)]), jh
 
     def jh_t(jh, w):
-        """Jh^T w over the user rows and the bound rows."""
-        return jh.T @ w[:nh] + np.bincount(col, weights=sign * w[nh:], minlength=n)
+        """Jh^T w over the nonlinear, linear and bound rows."""
+        out = jh.T @ w[:nnl] + np.bincount(col, weights=sign * w[nh:], minlength=n)
+        out[sup] += a_s.T @ w[nnl:nh]
+        return out
 
     f, df = problem.objective(x)
     g, jg, h, jh = evaluate(x)
-    neq, niq, nh = len(g), len(h), len(jh)
+    neq, niq, nnl = len(g), len(h), len(jh)
+    nh = nnl + len(b_lin)  # user rows: nonlinear, then linear
     lam = np.zeros(neq)
     z = np.ones(niq)
     mu = np.ones(niq)
@@ -453,28 +491,30 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     converged = feascond < opts.feastol and gradcond < opts.gradtol and compcond < opts.comptol
     it = 0
     message = ""
+    kkt = np.zeros((nf + neq, nf + neq))
+    diag = np.diag_indices(nf + neq)
 
     while not converged and it < opts.max_iter:
         it += 1
-        hess = problem.lag_hess(x, 1.0, lam, mu[:nh])
+        hess = problem.lag_hess(x, 1.0, lam, mu[:nnl])
         zinv = 1.0 / z
-        m = hess + (jh.T * (mu[:nh] * zinv[:nh])) @ jh
-        m[np.diag_indices(n)] += np.bincount(col, weights=mu[nh:] * zinv[nh:], minlength=n)
+        w = mu * zinv
+        m = hess + (jh.T * w[:nnl]) @ jh
+        m[np.ix_(sup, sup)] += (a_s.T * w[nnl:nh]) @ a_s
+        m[np.diag_indices(n)] += np.bincount(col, weights=w[nh:], minlength=n)
         nvec = lx + jh_t(jh, zinv * (gamma + mu * h))
-        m = m[np.ix_(fc, fc)]
         jg_f = jg[:, fc]
+        kkt[:nf, :nf] = m[np.ix_(fc, fc)]
+        kkt[:nf, nf:] = jg_f.T
+        kkt[nf:, :nf] = jg_f
+        m_diag = m[fc, fc]
+        rhs = np.concatenate([-nvec[fc], -g])
 
         dx = np.zeros(n)
         dlam = None
         reg = 0.0
-        for attempt in range(7):
-            kkt = np.zeros((nf + neq, nf + neq))
-            kkt[:nf, :nf] = m + reg * np.eye(nf)
-            if neq:
-                kkt[:nf, nf:] = jg_f.T
-                kkt[nf:, :nf] = jg_f
-                kkt[nf:, nf:] = -reg * np.eye(neq)
-            rhs = np.concatenate([-nvec[fc], -g])
+        for _ in range(7):
+            kkt[diag] = np.concatenate([m_diag + reg, np.full(neq, -reg)])
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
@@ -490,7 +530,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             break
 
         if niq:
-            dz = -h - z - np.concatenate([jh @ dx, sign * dx[col]])
+            dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
             dmu = -mu + zinv * (gamma - mu * dz)
             kz = dz < 0
             alphap = min(1.0, opts.xi * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0

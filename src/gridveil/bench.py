@@ -18,7 +18,7 @@ import numpy as np
 from .acopf import NlpOptions, solve_standard
 from .netmodel import CostPoly, NetworkCase
 from .ppopf import assemble_pp, solve_pp, verify_dispatch
-from .sampling import resolve_jobs
+from .sampling import pool_map, resolve_jobs
 from .surrogate import SurrogateBundle
 
 # defaults straddle typical thermal-unit marginal costs so the cheap side
@@ -136,32 +136,9 @@ def _run_trial(
     )
 
 
-_BW: dict = {}
-
-
-def _init_bench_worker(integrated, ts_case, bundles, charts_std, charts_enforced, opts):
-    _BW.update(
-        integrated=integrated,
-        ts_case=ts_case,
-        bundles=bundles,
-        charts_std=charts_std,
-        charts_enforced=charts_enforced,
-        opts=opts,
-    )
-
-
-def _bench_worker(arg):
+def _bench_worker(shared: dict, arg):
     trial_id, costs = arg
-    return _run_trial(
-        trial_id,
-        costs,
-        _BW["integrated"],
-        _BW["ts_case"],
-        _BW["bundles"],
-        _BW["charts_std"],
-        _BW["charts_enforced"],
-        _BW["opts"],
-    )
+    return _run_trial(trial_id, costs, **shared)
 
 
 def run_benchmark(
@@ -189,24 +166,18 @@ def run_benchmark(
     for ds in sorted(dg_map):
         charts_std.extend(integrated_case.charts_for(ds, dg_map[ds]))
 
-    jobs = resolve_jobs(jobs)
-    args = list(enumerate(cost_sets))
-    if jobs > 1 and n_trials > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(
-            jobs,
-            initializer=_init_bench_worker,
-            initargs=(integrated_case, ts_case, bundles, charts_std, charts_enforced, opts),
-        ) as pool:
-            trials = pool.map(_bench_worker, args, chunksize=1)
-    else:
-        trials = [
-            _run_trial(
-                i, costs, integrated_case, ts_case, bundles, charts_std, charts_enforced, opts
-            )
-            for i, costs in args
-        ]
+    trials = pool_map(
+        _bench_worker,
+        list(enumerate(cost_sets)),
+        resolve_jobs(jobs),
+        chunksize=1,
+        integrated=integrated_case,
+        ts_case=ts_case,
+        bundles=bundles,
+        charts_std=charts_std,
+        charts_enforced=charts_enforced,
+        opts=opts,
+    )
     trials.sort(key=lambda t: t.trial_id)
 
     meta = {

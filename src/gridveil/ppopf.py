@@ -60,7 +60,8 @@ def assemble_pp(
     ascending ds_id.  The pseudo sources enter the bus balance like
     generators; couplings t_p(x_j) + px = 0 and t_q(x_j) + qx = 0 hand them
     the regression outputs, and v-link rows pin each x_j voltage component to
-    the PCC bus magnitude.  Facet and chart rows are linear inequalities.
+    the PCC bus magnitude.  Facet and chart rows are the problem's linear
+    rows (NlpProblem.a_lin), after the TS's flow rows.
     """
     ts = assemble_standard(ts_case)
     n = ts_case.n_bus
@@ -170,7 +171,7 @@ def assemble_pp(
         return g, jac
 
     def inequalities(x):
-        h, jac_ts = ts.ineq(x[:nb])
+        h, jac_ts = ts.nonlinear_ineq(x[:nb])
         jac = np.zeros((len(h), nx))
         jac[:, :nb] = jac_ts
         return h, jac
@@ -237,6 +238,7 @@ class VerificationReport:
     pcc_flow_error: float  # max |regression - re-solved flow|, MW/MVAr
     message: str = ""
     solve_time: float = 0.0
+    iterations: int = 0  # of the re-solve
 
 
 def _split_limit_report(case: NetworkCase, rep: LimitReport) -> dict:
@@ -322,6 +324,7 @@ def verify_dispatch(
             pcc_flow_error=float("nan"),
             message=f"re-solve {sol.status}: {sol.message}",
             solve_time=dt,
+            iterations=sol.iterations,
         )
 
     v = sol.v * np.exp(1j * sol.theta)
@@ -358,4 +361,5 @@ def verify_dispatch(
         raw_cost=raw,
         pcc_flow_error=float(err),
         solve_time=dt,
+        iterations=sol.iterations,
     )

@@ -19,12 +19,13 @@ import json
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .netmodel import NetworkCase, PQChart
-from .powerflow import DsTables, ds_response_batch, ds_tables
+from .powerflow import ds_response_batch, ds_tables
 
 # Rows per batched power flow.  A block's Newton iterations share one
 # mismatch product and one stacked solve, so a larger block spreads the Python
@@ -41,6 +42,30 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     return jobs
+
+
+# what pool_map hands each worker once, at start-up
+_WORKER: dict = {}
+
+
+def _init_worker(shared: dict):
+    _WORKER.update(shared)
+
+
+def _call_worker(fn, arg):
+    return fn(_WORKER, arg)
+
+
+def pool_map(fn, args: list, jobs: int, chunksize: int | None = None, **shared) -> list:
+    """[fn(shared, a) for a in args], in order, on jobs forked workers when jobs > 1.
+
+    shared reaches each worker once, when the pool starts; fn must be a
+    module-level function.  Results do not depend on jobs.
+    """
+    if jobs == 1 or len(args) < 2:
+        return [fn(shared, a) for a in args]
+    with mp.Pool(jobs, initializer=_init_worker, initargs=(shared,)) as pool:
+        return pool.map(partial(_call_worker, fn), args, chunksize=chunksize)
 
 
 @dataclass(frozen=True)
@@ -145,15 +170,8 @@ def chart_mask(space: SampleSpace, x: np.ndarray, tol: float = 1e-9) -> np.ndarr
     return ok
 
 
-_WORKER: dict = {}
-
-
-def _init_worker(case: NetworkCase, tables: DsTables):
-    _WORKER.update(case=case, tables=tables)
-
-
-def _eval_block(x: np.ndarray):
-    return ds_response_batch(_WORKER["case"], x, _WORKER["tables"])
+def _eval_block(shared: dict, x: np.ndarray):
+    return ds_response_batch(shared["case"], x, shared["tables"])
 
 
 def generate_dataset(
@@ -184,11 +202,7 @@ def generate_dataset(
     if idx.size:
         tables = ds_tables(case)
         blocks = [x[idx[i : i + BLOCK_ROWS]] for i in range(0, idx.size, BLOCK_ROWS)]
-        if jobs == 1:
-            parts = [ds_response_batch(case, b, tables) for b in blocks]
-        else:
-            with mp.Pool(jobs, initializer=_init_worker, initargs=(case, tables)) as pool:
-                parts = pool.map(_eval_block, blocks)
+        parts = pool_map(_eval_block, blocks, jobs, case=case, tables=tables)
         label[idx] = np.concatenate([part[0] for part in parts])
         p_pcc[idx] = np.vstack([part[1] for part in parts])
         q_pcc[idx] = np.vstack([part[2] for part in parts])

@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch against textbook
 formulas, not by importing package internals: backward/forward-sweep power
 flow for radial feeders, ray-crossing polygon membership, per-branch 2x2
-admittance stamping, a brute-force grid optimizer for a 3-bus OPF, and
-finite-difference derivative checks.
+admittance stamping, MATPOWER's dense-matrix OPF derivatives, a brute-force
+grid optimizer for a 3-bus OPF, and finite-difference derivative checks.
 """
 
 from __future__ import annotations
@@ -134,6 +134,28 @@ def stamp_ybus(case) -> np.ndarray:
     return y
 
 
+def stamp_branch_rows(case):
+    """Dense flow rows of the rated, closed branches: from ends, then to ends.
+
+    Returns (yb, cidx): row r of yb maps bus voltages to the current leaving
+    bus cidx[r] into the branch, so the flow is V[cidx] conj(yb V).
+    """
+    n = len(case.buses)
+    idx = {b.id: i for i, b in enumerate(case.buses)}
+    rated = [br for br in case.branches if br.status and br.s_max > 0]
+    yb = np.zeros((2 * len(rated), n), dtype=complex)
+    cidx = np.zeros(2 * len(rated), dtype=int)
+    for k, br in enumerate(rated):
+        f, t = idx[br.from_bus], idx[br.to_bus]
+        ys = 1.0 / complex(br.r, br.x)
+        bc = 1j * br.b_sh / 2.0
+        tau = br.tap if br.tap not in (0.0, 0) else 1.0
+        yb[k, f], yb[k, t], cidx[k] = (ys + bc) / tau**2, -ys / tau, f
+        r = len(rated) + k
+        yb[r, f], yb[r, t], cidx[r] = -ys / tau, ys + bc, t
+    return yb, cidx
+
+
 def two_bus_flow(v1, th1, v2, th2, r, x, b_sh=0.0):
     """Textbook sending-end P/Q of a pi branch, from the sin/cos formulas."""
     y = 1.0 / complex(r, x)
@@ -142,6 +164,74 @@ def two_bus_flow(v1, th1, v2, th2, r, x, b_sh=0.0):
     p = v1 * v1 * g - v1 * v2 * (g * np.cos(th) + b * np.sin(th))
     q = -v1 * v1 * (b + b_sh / 2.0) - v1 * v2 * (g * np.sin(th) - b * np.cos(th))
     return p, q
+
+
+# ---------------------------------------------------------------------------
+# Dense OPF derivatives
+# ---------------------------------------------------------------------------
+#
+# MATPOWER's matrix forms (Zimmerman et al., IEEE TPWRS 26(1), 2011):
+# dSbr_dV, d2ASbr_dV2 and d2Sbus_dV2 in polar coordinates, with every
+# diagonal matrix spelled out as np.diag.
+
+
+def dense_flow_jacobian(yb, cidx, v):
+    """dS/dVa and dS/dVm of every flow row, complex (rows x n_bus)."""
+    c_rows = np.zeros_like(yb)
+    c_rows[np.arange(len(cidx)), cidx] = 1.0
+    vnorm = v / np.abs(v)
+    ib = yb @ v
+    vc = v[cidx]
+    ds_dva = 1j * (
+        np.conj(ib)[:, None] * c_rows * v[None, :] - vc[:, None] * np.conj(yb * v[None, :])
+    )
+    ds_dvm = vc[:, None] * np.conj(yb * vnorm[None, :]) + np.conj(ib)[
+        :, None
+    ] * c_rows * vnorm[None, :]
+    return ds_dva, ds_dvm
+
+
+def dense_sq_hessian(yb, cidx, v, mu):
+    """Hessian of mu . |S|^2 wrt (theta, vm), real (2n x 2n)."""
+    c_rows = np.zeros_like(yb)
+    c_rows[np.arange(len(cidx)), cidx] = 1.0
+    s = v[cidx] * np.conj(yb @ v)
+    ds_dva, ds_dvm = dense_flow_jacobian(yb, cidx, v)
+    lam = np.conj(s) * mu
+    a = yb.conj().T @ (lam[:, None] * c_rows)
+    dv = np.conj(v)
+    b = dv[:, None] * a * v[None, :]
+    d = np.diag((a @ v) * dv)
+    e = np.diag((a.T @ dv) * v)
+    f_ = b + b.T
+    g = np.diag(1.0 / np.abs(v))
+    saa = f_ - d - e
+    sva = 1j * g @ (b - b.T - d + e)
+    sav = sva.T
+    svv = g @ f_ @ g
+    haa = 2 * np.real(saa + ds_dva.T @ (mu[:, None] * np.conj(ds_dva)))
+    hva = 2 * np.real(sva + ds_dvm.T @ (mu[:, None] * np.conj(ds_dva)))
+    hav = 2 * np.real(sav + ds_dva.T @ (mu[:, None] * np.conj(ds_dvm)))
+    hvv = 2 * np.real(svv + ds_dvm.T @ (mu[:, None] * np.conj(ds_dvm)))
+    return np.block([[haa, hav], [hva, hvv]])
+
+
+def dense_bus_injection_hessian(ybus, v, lam_p, lam_q):
+    """Hessian of lam_p . Re(S(V)) + lam_q . Im(S(V)) wrt (theta, vm)."""
+    lam = lam_p - 1j * lam_q
+    ibus = ybus @ v
+    a = np.diag(lam * v)
+    b = ybus @ np.diag(v)
+    c = a @ np.conj(b)
+    d = ybus.conj().T @ np.diag(v)
+    e = np.conj(np.diag(v)) @ (d @ np.diag(lam) - np.diag(d @ lam))
+    f_ = c - a @ np.diag(np.conj(ibus))
+    g = np.diag(1.0 / np.abs(v))
+    gaa = e + f_
+    gva = 1j * g @ (e - f_)
+    gav = gva.T
+    gvv = g @ (c + c.T) @ g
+    return np.real(np.block([[gaa, gav], [gva, gvv]]))
 
 
 # ---------------------------------------------------------------------------

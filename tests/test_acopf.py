@@ -9,6 +9,7 @@ from gridveil.acopf import (
     NlpProblem,
     assemble_polygon_extension,
     assemble_standard,
+    bus_injection_hessian,
     kkt_report,
     solve_nlp,
     solve_standard,
@@ -16,7 +17,14 @@ from gridveil.acopf import (
 from gridveil.netmodel import CostPoly, branch_admittances, polygon_from_vertices
 from gridveil.powerflow import newton_pf
 
-from oracles import fd_jacobian, rel_err
+from oracles import (
+    dense_bus_injection_hessian,
+    dense_flow_jacobian,
+    dense_sq_hessian,
+    fd_jacobian,
+    rel_err,
+    stamp_branch_rows,
+)
 
 TIGHT = NlpOptions(feastol=1e-8, gradtol=1e-8, comptol=1e-8, costtol=1e-9)
 
@@ -45,8 +53,46 @@ def test_branch_rows_are_rated_admittance_rows(name, request):
     yf, yt, fidx, tidx = branch_admittances(case)
     rated = np.array([bool(br.status) and br.s_max > 0 for br in case.branches])
     rows = BranchSet(case)
-    assert np.array_equal(rows.yb, np.vstack([yf[rated], yt[rated]]))
-    assert np.array_equal(rows.cidx, np.concatenate([fidx[rated], tidx[rated]]))
+    assert np.array_equal(_expand(rows, rows.y), np.vstack([yf[rated], yt[rated]]))
+    assert np.array_equal(rows.bus[:, 0], np.concatenate([fidx[rated], tidx[rated]]))
+
+
+def _expand(rows, pairs):
+    """Dense (rows x n_bus) form of per-row values at the row's (i, k) buses."""
+    dense = np.zeros((rows.n_rows, rows.n_bus), dtype=pairs.dtype)
+    r = np.arange(rows.n_rows)
+    dense[r, rows.bus[:, 0]] = pairs[:, 0]
+    dense[r, rows.bus[:, 1]] = pairs[:, 1]
+    return dense
+
+
+def _random_state(case, rng):
+    n = case.n_bus
+    return rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
+
+
+@pytest.mark.parametrize("name", ["ts30", "ds2", "ieee33", "integrated"])
+def test_structured_derivatives_match_dense_formulas(name, request, rng):
+    case = request.getfixturevalue(name)
+    rows = BranchSet(case)
+    yb, cidx = stamp_branch_rows(case)
+    assert np.array_equal(_expand(rows, rows.y), yb)
+    n = case.n_bus
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for _ in range(3):
+        v = _random_state(case, rng)
+        mu = rng.uniform(0.0, 1.0, rows.n_rows)
+        lam_p, lam_q = rng.normal(size=n), rng.normal(size=n)
+        for got, want in zip(rows.flow_jacobian(v), dense_flow_jacobian(yb, cidx, v)):
+            assert close(_expand(rows, got), want)
+        assert close(rows.sq_hessian(v, mu), dense_sq_hessian(yb, cidx, v, mu))
+        assert close(
+            bus_injection_hessian(case.ybus, v, lam_p, lam_q),
+            dense_bus_injection_hessian(case.ybus, v, lam_p, lam_q),
+        )
 
 
 def test_equality_residual_counts(toy3):
@@ -337,11 +383,25 @@ def test_objective_gradient_matches_fd(fixture, request, rng):
         assert rel_err(fd[0], grad) < 1e-6
 
 
-def test_lagrangian_hessian_matches_fd(toy3, rng):
-    problem = assemble_standard(toy3)
+def _with_dg_charts(case):
+    """The standard OPF of an integrated case with every DG's chart rows."""
+    dg_map = case.meta["dg_map"]
+    charts = [c for ds in sorted(dg_map) for c in case.charts_for(ds, dg_map[ds])]
+    problem = assemble_polygon_extension(assemble_standard(case), charts)
+    assert len(problem.b_lin) == sum(len(c.b_pq) for c in charts) > 0
+    return problem
+
+
+@pytest.mark.parametrize("fixture", ["toy3", "ts30", "integrated"])
+def test_lagrangian_hessian_matches_fd(fixture, request, rng):
+    case = request.getfixturevalue(fixture)
+    if "dg_map" in case.meta:
+        problem = _with_dg_charts(case)
+    else:
+        problem = assemble_standard(case)
     m_eq = len(problem.eq(problem.x0)[0])
     m_ineq = len(problem.ineq(problem.x0)[0])
-    for x in _interior_points(problem, rng, 5):
+    for x in _interior_points(problem, rng, 5 if case.n_bus < 50 else 2):
         lam = rng.normal(size=m_eq)
         mu = rng.uniform(0.1, 1.0, size=m_ineq)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gridveil.ppopf as ppopf_module
-from gridveil.acopf import NlpOptions, assemble_standard
+from gridveil.acopf import NlpOptions, assemble_standard, kkt_report, solve_nlp
 from gridveil.netmodel import CostPoly, rectangle_chart
 from gridveil.ppopf import assemble_pp, solve_pp, verify_dispatch
 from gridveil.surrogate import PolytopeModel
@@ -86,6 +86,44 @@ def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
         hess = problem.lag_hess(x, 0.5, lam, mu)
         hess_std = std.lag_hess(x[:nb], 0.5, lam[: 2 * n], mu[:n_flow])
         assert np.array_equal(hess[:nb, :nb], hess_std)
+
+
+def _closure_wrapped(problem):
+    """The problem with its linear rows folded into its callables instead of data."""
+    a, b = problem.a_lin, problem.b_lin
+    nonlinear, hess = problem.nonlinear_ineq, problem.lag_hess
+
+    def inequalities(x):
+        h0, j0 = nonlinear(x)
+        return np.concatenate([h0, a @ x - b]), np.vstack([j0, a])
+
+    def lag_hess(x, sigma, lam, mu):
+        return hess(x, sigma, lam, mu[: len(mu) - len(b)])
+
+    return dataclasses.replace(
+        problem, inequalities=inequalities, lag_hess=lag_hess, a_lin=None, b_lin=None
+    )
+
+
+def test_linear_rows_match_closure_wrapped_form(pp, pp_sol):
+    problem = pp.problem
+    wrapped = _closure_wrapped(problem)
+    assert len(wrapped.b_lin) == 0
+    n_flow = len(problem.nonlinear_ineq(problem.x0)[0])
+    assert n_flow > 0 and len(problem.b_lin) > 0
+    for x in (problem.x0, pp_sol.x):
+        h, jh = problem.ineq(x)
+        h_w, jh_w = wrapped.ineq(x)
+        assert np.array_equal(h, h_w) and np.array_equal(jh, jh_w)
+        # the facet and chart rows follow the flow rows
+        assert np.array_equal(h[n_flow:], problem.a_lin @ x - problem.b_lin)
+        assert np.array_equal(jh[n_flow:], problem.a_lin)
+    assert kkt_report(problem, pp_sol) == kkt_report(wrapped, pp_sol)
+    # solved as all-dense rows, the same multipliers come back in the same order
+    sol_w = solve_nlp(wrapped)
+    assert sol_w.optimal and sol_w.iterations == pp_sol.iterations
+    assert np.max(np.abs(sol_w.mu - pp_sol.mu)) <= 1e-6 * max(1.0, np.max(pp_sol.mu))
+    assert abs(sol_w.objective - pp_sol.objective) <= 1e-10 * abs(pp_sol.objective)
 
 
 def test_ts_generators_are_not_dgs(pp):
