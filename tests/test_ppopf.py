@@ -320,6 +320,7 @@ def test_verified_cost_close_to_raw(integrated, pp_sol, quick_bundles):
     rep = verify_dispatch(integrated, pp_sol, quick_bundles)
     assert rep.feasible_true, rep.violations
     assert np.isfinite(rep.verified_cost)
+    assert 0 < rep.iterations < NlpOptions().max_iter
     gap = abs(rep.verified_cost - rep.raw_cost) / abs(rep.raw_cost)
     assert gap < 0.05
     assert rep.pcc_flow_error < 1.0  # MW
