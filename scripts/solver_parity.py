@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """Print the outcome of every OPF solve of a series of paired trials.
 
-Each trial solves the standard AC-OPF on the integrated network (with its DG
-charts), the privacy-preserving OPF against the bundles, and the
-verification re-solve, as one tso-dispatch operation of perfbench does.
+Each trial is one tso-dispatch operation of perfbench (``Dispatch.op``): the
+standard AC-OPF on the integrated network with its DG charts, the
+privacy-preserving OPF against the bundles, and the verification re-solve.
 Each trial prints one JSON line with the status, iteration count and
 objective of the three solves, so runs of two checkouts can be diffed:
 
     python scripts/solver_parity.py --perfbench-seeds 601-610 --trials 5
     python scripts/solver_parity.py --bundles b1.json b2.json b3.json --seed 5 --trials 10
 
---perfbench-seeds rebuilds the bundles and the per-trial costs of the
-perfbench tso-dispatch workload for each seed.  --bundles takes exported
-bundles for ds1-ds3 with the bundled cases, and draws the costs of
-``gridveil bench --seed``.  gridveil is imported from this checkout's src/.
+--perfbench-seeds rebuilds the bundles of the tso-dispatch workload for each
+seed.  --bundles takes exported bundles for ds1-ds3 with the bundled cases
+instead.  Either way, trial k draws the costs the workload draws for
+operation k of the seed.  gridveil is imported from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -22,72 +22,63 @@ import argparse
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from gridveil import acopf, bench, netmodel, ppopf, surrogate  # noqa: E402
+from gridveil import netmodel, surrogate  # noqa: E402
+from workloads import FEEDERS, Dispatch  # noqa: E402
 
 
 def seed_list(text: str) -> list[int]:
-    """'601-610' or '5,7,9' -> seeds."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
+    """'601-610' or '508' -> seeds."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def solve_record(status: str, iterations: int, objective: float) -> dict:
     return {"status": status, "iterations": int(iterations), "objective": float(objective)}
 
 
-def run_trial(integrated, ts, bundles, costs, charts) -> dict:
-    """Standard, PP and verification solve of one trial with the given costs."""
-    dg_map = integrated.meta["dg_map"]
-    gens = [replace(g, cost=c) for g, c in zip(integrated.generators, costs)]
-    integ_t = replace(integrated, generators=gens)
-    ts_t = replace(ts, generators=gens[: integrated.meta["n_ts_gen"]])
-    bundles_t = {ds: replace(b, costs=[costs[g] for g in dg_map[ds]]) for ds, b in bundles.items()}
-    std = acopf.solve_standard(integ_t, charts=charts)
-    pp = ppopf.solve_pp(ppopf.assemble_pp(ts_t, bundles_t, charts_enforced=True))
+def trial_record(trial) -> dict:
+    """Status, iterations and objective of the three solves of one trial."""
     out = {
-        "std": solve_record(std.status, std.iterations, std.objective),
-        "pp": solve_record(pp.status, pp.iterations, pp.objective),
+        "std": solve_record(trial.std.status, trial.std.iterations, trial.std.objective),
+        "pp": solve_record(trial.pp.status, trial.pp.iterations, trial.pp.objective),
         "verify": None,
     }
-    if pp.optimal:
-        rep = ppopf.verify_dispatch(integ_t, pp, bundles_t)
-        status = "optimal" if not rep.message else rep.message
+    rep = trial.report
+    if rep is not None:
+        status = rep.message or "optimal"
         out["verify"] = solve_record(status, rep.iterations, rep.verified_cost)
     return out
 
 
-def perfbench_trials(seeds: list[int], trials: int):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import Dispatch, derived_seed
-
-    for seed in seeds:
-        with tempfile.TemporaryDirectory() as workdir:
-            state = Dispatch().setup(seed, workdir)
-        for k in range(trials):
-            costs = bench.random_costs(state["integrated"], 1, seed=derived_seed(seed, k))[0]
-            args = (state["integrated"], state["ts"], state["bundles"], costs, state["charts"])
-            yield seed, k, args
-
-
-def bundle_trials(paths: list[str], seed: int, trials: int):
+def bundle_state(paths: list[str], seed: int) -> dict:
+    """The tso-dispatch state with exported bundles in place of trained ones."""
     ts = netmodel.bundled_case("ts30")
-    integrated = netmodel.build_integrated(
-        ts, [netmodel.bundled_case(name) for name in ("ds1", "ds2", "ds3")]
-    )
-    bundles = {b.ds_id: b for b in map(surrogate.import_bundle, paths)}
+    integrated = netmodel.build_integrated(ts, [netmodel.bundled_case(n) for n in FEEDERS])
     dg_map = integrated.meta["dg_map"]
-    charts = [c for ds in sorted(dg_map) for c in integrated.charts_for(ds, dg_map[ds])]
-    for k, costs in enumerate(bench.random_costs(integrated, trials, seed)):
-        yield seed, k, (integrated, ts, bundles, costs, charts)
+    return dict(
+        seed=seed,
+        ts=ts,
+        integrated=integrated,
+        bundles={b.ds_id: b for b in map(surrogate.import_bundle, paths)},
+        charts=[c for ds in sorted(dg_map) for c in integrated.charts_for(ds, dg_map[ds])],
+    )
+
+
+def trial_states(dispatch: Dispatch, args):
+    """One tso-dispatch state per seed, set up as its trials are reached."""
+    if args.bundles:
+        yield bundle_state(args.bundles, args.seed)
+        return
+    for seed in args.perfbench_seeds:
+        with tempfile.TemporaryDirectory() as workdir:
+            state = dispatch.setup(seed, workdir)
+        yield state
 
 
 def main(argv=None) -> int:
@@ -97,15 +88,12 @@ def main(argv=None) -> int:
     src.add_argument("--bundles", nargs="+", help="exported bundle files")
     ap.add_argument("--seed", type=int, default=0, help="cost seed with --bundles")
     ap.add_argument("--trials", type=int, default=5, help="trials per seed")
-    ap.add_argument("--first", type=int, default=0, help="first trial to print")
     args = ap.parse_args(argv)
-    if args.perfbench_seeds:
-        runs = perfbench_trials(args.perfbench_seeds, args.trials)
-    else:
-        runs = bundle_trials(args.bundles, args.seed, args.trials)
-    for seed, k, trial_args in runs:
-        if k >= args.first:
-            print(json.dumps({"seed": seed, "trial": k, **run_trial(*trial_args)}), flush=True)
+    dispatch = Dispatch()
+    for state in trial_states(dispatch, args):
+        for k in range(args.trials):
+            record = trial_record(dispatch.op(state, k))
+            print(json.dumps({"seed": state["seed"], "trial": k, **record}), flush=True)
     return 0
 
 

@@ -87,13 +87,13 @@ class BranchSet:
         ds_dvm = np.stack([2 * np.conj(self.y[:, 0]) * mi + p / mi, p / np.abs(vk)], axis=1)
         return ds_dva, ds_dvm
 
-    def sq_constraints(self, v: np.ndarray, width: int | None = None):
+    def sq_constraints(self, v: np.ndarray, width: int):
         """h = |S|^2 - limit^2 and its Jacobian (rows x width), theta then vm columns."""
         n = self.n_bus
         s = self.flows(v)
         h = s.real**2 + s.imag**2 - self.limit_sq
         ds_dva, ds_dvm = self.flow_jacobian(v)
-        jac = np.zeros((self.n_rows, width or 2 * n))
+        jac = np.zeros((self.n_rows, width))
         r = np.arange(self.n_rows)
         # two writes per row: a branch whose ends share a bus adds up
         for off, ds in ((0, ds_dva), (n, ds_dvm)):
@@ -292,7 +292,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         return np.concatenate([mis.real, mis.imag]), jac
 
     def inequalities(x):
-        return branches.sq_constraints(voltages(x), width=nx)
+        return branches.sq_constraints(voltages(x), nx)
 
     def lag_hess(x, sigma, lam, mu):
         v = voltages(x)
