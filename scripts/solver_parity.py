@@ -60,13 +60,12 @@ def bundle_state(paths: list[str], seed: int) -> dict:
     """The tso-dispatch state with exported bundles in place of trained ones."""
     ts = netmodel.bundled_case("ts30")
     integrated = netmodel.build_integrated(ts, [netmodel.bundled_case(n) for n in FEEDERS])
-    dg_map = integrated.meta["dg_map"]
     return dict(
         seed=seed,
         ts=ts,
         integrated=integrated,
         bundles={b.ds_id: b for b in map(surrogate.import_bundle, paths)},
-        charts=[c for ds in sorted(dg_map) for c in integrated.charts_for(ds, dg_map[ds])],
+        charts=integrated.all_dg_charts(),
     )
 
 

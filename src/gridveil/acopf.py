@@ -604,9 +604,9 @@ def _attach_opf_views(problem: NlpProblem, sol: OpfSolution) -> None:
     if "pg" in vs and base:
         sol.p_g = sol.x[vs["pg"]] * base
         sol.q_g = sol.x[vs["qg"]] * base
-    ds_slices = problem.meta.get("x_ds_slices")
-    if ds_slices:
-        sol.x_ds = {ds: sol.x[sl].copy() for ds, sl in ds_slices.items()}
+    ds_cols = problem.meta.get("x_ds_cols")
+    if ds_cols:
+        sol.x_ds = {ds: sol.x[cols] for ds, cols in ds_cols.items()}
 
 
 def solve_standard(case: NetworkCase, opts: NlpOptions | None = None, charts=None) -> OpfSolution:

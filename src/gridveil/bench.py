@@ -106,8 +106,7 @@ def _run_trial(
         if std.optimal:
             std_obj = float(std.objective)
 
-        pp_prob = assemble_pp(ts_t, bundles_t, charts_enforced=charts_enforced)
-        pp = solve_pp(pp_prob, opts)
+        pp = solve_pp(assemble_pp(ts_t, bundles_t, charts_enforced=charts_enforced), opts)
         statuses["pp"] = pp.status
         pp_time = pp.solve_time
         if pp.optimal:
@@ -161,10 +160,7 @@ def run_benchmark(
     if "dg_map" not in integrated_case.meta:
         raise ValueError("integrated case lacks merge metadata")
     cost_sets = random_costs(integrated_case, n_trials, seed, ranges)
-    dg_map = integrated_case.meta["dg_map"]
-    charts_std = []
-    for ds in sorted(dg_map):
-        charts_std.extend(integrated_case.charts_for(ds, dg_map[ds]))
+    charts_std = integrated_case.all_dg_charts()
 
     trials = pool_map(
         _bench_worker,

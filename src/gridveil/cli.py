@@ -2,7 +2,9 @@
 
 Every stage reads and writes plain artifacts (CSV datasets, JSON models and
 bundles, JSON reports), and each artifact records the command line and seed
-that produced it, either in its own meta block or in the dataset sidecar.
+that produced it, either in its own meta block or in a ``<file>.meta.json``
+sidecar.  A bundle crosses to the TSO, so its provenance lives only in the
+sidecar, which stays with the DSO.
 
 Exit codes: 0 success, 1 bad usage, 2 runtime failure.
 """
@@ -22,7 +24,14 @@ from .acopf import NlpOptions, OpfSolution, solve_standard
 from .bench import emit_histogram, report_from_json, report_to_json, run_benchmark, summarize
 from .netmodel import CostPoly, NetworkCase, build_integrated, bundled_case, load_case
 from .ppopf import assemble_pp, solve_pp, verify_dispatch
-from .sampling import generate_dataset, read_csv, sample_space, split_dataset, write_csv
+from .sampling import (
+    generate_dataset,
+    read_csv,
+    sample_space,
+    split_dataset,
+    write_csv,
+    write_sidecar,
+)
 from .surrogate import (
     PolytopeModel,
     SurrogateBundle,
@@ -68,8 +77,7 @@ def _opts(ns) -> NlpOptions | None:
 def _default_charts(case: NetworkCase):
     """Capability polygons for every DG the case knows about."""
     if "dg_map" in case.meta:
-        dg_map = case.meta["dg_map"]
-        return [c for ds in sorted(dg_map) for c in case.charts_for(ds, dg_map[ds])]
+        return case.all_dg_charts()
     if case.pcc_map:
         return case.charts_for(next(iter(case.pcc_map)))
     return []
@@ -273,9 +281,10 @@ def _cmd_bundle(ns, command: str) -> int:
         pcc=pcc,
         charts=list(charts),
         costs=costs,
-        meta={"command": command, "case_hash": case.text_hash()},
     )
     export_bundle(bundle, ns.out)
+    # provenance stays DS-side: the case hash would confirm a guessed network
+    write_sidecar(ns.out, {"command": command, "case_hash": case.text_hash()})
     print(f"DS {ds_id} bundle: {fr.n_h} facets, {space.n_pcc} pcc, {case.n_gen} dg -> {ns.out}")
     return 0
 
@@ -296,8 +305,8 @@ def _cmd_solve(ns, command: str) -> int:
     if ns.mode == "pp":
         if ns.attach:
             raise UsageError("--attach only applies to --mode standard")
-        pp = assemble_pp(case, _load_bundles(ns.bundle), charts_enforced=ns.enforce_charts)
-        sol = solve_pp(pp, _opts(ns))
+        problem = assemble_pp(case, _load_bundles(ns.bundle), charts_enforced=ns.enforce_charts)
+        sol = solve_pp(problem, _opts(ns))
     else:
         if ns.attach:
             case = build_integrated(case, [_case(t) for t in ns.attach])

@@ -225,6 +225,15 @@ class NetworkCase:
             out.append(chart)
         return out
 
+    def all_dg_charts(self) -> list[PQChart]:
+        """Charts of every DG of an integrated case, DS by DS in ascending id.
+
+        This is the order of the standard OPF's DG columns (``dg_gens``), as
+        ``assemble_polygon_extension`` expects.
+        """
+        dg_map = self.meta["dg_map"]
+        return [c for ds in sorted(dg_map) for c in self.charts_for(ds, dg_map[ds])]
+
     def text_hash(self) -> str:
         return hashlib.sha256(serialize_case(self).encode()).hexdigest()[:16]
 

@@ -2,18 +2,17 @@
 
 The DS networks are absent here by construction.  The problem is the
 transmission case's standard AC-OPF (``acopf.assemble_standard``) extended
-by the surrogates: each distribution system contributes one variable block
-x_j = (v at its PCC buses, DG p, DG q), a facet block A_FR x_j <= b_FR
-standing in for its internal feasibility, and quadratic couplings tying the
-regression-predicted PCC flows to pseudo sources at the PCC buses.
-Everything the assembly touches comes from the transmission case and the
-SurrogateBundle files.
+by the surrogates.  Each distribution system j acts on x_j = (v at its PCC
+buses, DG p, DG q): the voltages are the TS's own ``vm`` columns, and only
+the DG columns are added.  A facet block A_FR x_j <= b_FR stands in for the
+DS's internal feasibility, and each PCC's regressions t_p(x_j), t_q(x_j)
+enter the balance rows of their TS bus as a load.  Everything the assembly
+touches comes from the transmission case and the SurrogateBundle files.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,151 +22,107 @@ from .acopf import (
     OpfSolution,
     append_linear_inequalities,
     assemble_standard,
-    assemble_polygon_extension,
     chart_rows,
     solve_nlp,
+    solve_standard,
 )
 from .netmodel import NetworkCase
 from .powerflow import LimitReport, check_limits, line_flows
-from .surrogate import QuadraticModel, SurrogateBundle
-
-
-@dataclass
-class PpProblem:
-    """Assembled privacy-preserving OPF with its inputs kept for reporting."""
-
-    ts_case: NetworkCase
-    bundles: dict[int, SurrogateBundle]
-    problem: NlpProblem
-    pcc_order: dict[int, tuple[int, ...]]  # ds_id -> TS bus ids, x_j v order
-
-
-def _quad_box_bound(model: QuadraticModel, x_min: np.ndarray, x_max: np.ndarray) -> float:
-    """Cheap interval bound on |t(x)| over the box (for pseudo-source limits)."""
-    m = np.maximum(np.abs(x_min), np.abs(x_max))
-    return float(abs(model.c_quad) + np.abs(model.b_quad) @ m + m @ np.abs(model.a_quad) @ m)
+from .surrogate import SurrogateBundle
 
 
 def assemble_pp(
     ts_case: NetworkCase,
     bundles: dict[int, SurrogateBundle],
     charts_enforced: bool = False,
-) -> PpProblem:
+) -> NlpProblem:
     """Build the surrogate-coupled OPF: the TS's standard OPF plus an extension.
 
-    Variables: the standard (theta, vm, pg, qg) of the TS, then pseudo-source
-    injections (px, qx) at every PCC bus, then one x_j block per DS in
-    ascending ds_id.  The pseudo sources enter the bus balance like
-    generators; couplings t_p(x_j) + px = 0 and t_q(x_j) + qx = 0 hand them
-    the regression outputs, and v-link rows pin each x_j voltage component to
-    the PCC bus magnitude.  Facet and chart rows are the problem's linear
-    rows (NlpProblem.a_lin), after the TS's flow rows.
+    Variables: the standard (theta, vm, pg, qg) of the TS, then one (DG p,
+    DG q) block per DS in ascending ds_id; x_j reads its PCC voltages from
+    the ``vm`` columns of its PCC buses, whose box is the TS band narrowed
+    to the bundle's v range.  Each PCC's regressions are added to the P and
+    Q balance rows of its bus, as a load.  Facet and chart rows are the
+    problem's linear rows (NlpProblem.a_lin), after the TS's flow rows.
+    ``meta["x_ds_cols"]`` maps each ds_id to the columns of its x_j.
     """
     ts = assemble_standard(ts_case)
     n = ts_case.n_bus
     ds_ids = sorted(bundles)
-    pcc_order: dict[int, tuple[int, ...]] = {}
     for ds in ds_ids:
         if ds not in ts_case.pcc_map:
             raise ValueError(f"ts case declares no PCC buses for DS {ds}")
-        ts_buses = tuple(t for _, t in ts_case.pcc_map[ds])
         bundle = bundles[ds]
-        if bundle.n_pcc != len(ts_buses):
-            raise ValueError(
-                f"DS {ds}: bundle has {bundle.n_pcc} PCCs, ts case assigns {len(ts_buses)}"
-            )
+        n_ts = len(ts_case.pcc_map[ds])
+        if bundle.n_pcc != n_ts:
+            raise ValueError(f"DS {ds}: bundle has {bundle.n_pcc} PCCs, ts case assigns {n_ts}")
         if bundle.fr.n_x != bundle.n_x:
             raise ValueError(f"DS {ds}: facet block width {bundle.fr.n_x} != n_x {bundle.n_x}")
         if len(bundle.costs) != bundle.n_dg:
             raise ValueError(f"DS {ds}: missing DG costs")
         if charts_enforced and bundle.charts and len(bundle.charts) != bundle.n_dg:
             raise ValueError(f"DS {ds}: chart count != n_dg")
-        pcc_order[ds] = ts_buses
-    covered = [b for ds in ds_ids for b in pcc_order[ds]]
+    covered = [t for ds in ds_ids for _, t in ts_case.pcc_map[ds]]
     pcc_kind = [b.id for b in ts_case.buses if b.kind == "pcc"]
     if sorted(covered) != sorted(pcc_kind):
         raise ValueError(f"bundles cover PCC buses {sorted(covered)}, case has {sorted(pcc_kind)}")
 
-    # variable layout: the standard block, then (px, qx), then the x_j blocks
+    # column layout: the standard block, then per DS its DG p and q columns
     nb = ts.n
-    npcc = len(covered)
-    i_px = slice(nb, nb + npcc)
-    i_qx = slice(nb + npcc, nb + 2 * npcc)
-    x_slices: dict[int, slice] = {}
-    pos = i_qx.stop
+    vm0 = ts.var_slices["vm"].start
+    lb, ub, x0 = ts.lb.copy(), ts.ub.copy(), ts.x0.copy()
+    lb_parts, ub_parts = [lb], [ub]
+    x_cols: dict[int, np.ndarray] = {}
+    loads = []  # per PCC: (bus position, x_j columns, t_p, t_q)
+    p_cols, costs = [], []  # DG generation cost sits on the p columns of each x_j
+    pos = nb
     for ds in ds_ids:
-        x_slices[ds] = slice(pos, pos + bundles[ds].n_x)
-        pos += bundles[ds].n_x
+        bundle = bundles[ds]
+        r = bundle.n_pcc
+        bus_ids = [t for _, t in ts_case.pcc_map[ds]]
+        buses = [ts_case.bus_index(t) for t in bus_ids]
+        cols = np.concatenate([vm0 + np.array(buses), np.arange(pos, pos + 2 * bundle.n_dg)])
+        p_cols.extend(range(pos, pos + bundle.n_dg))
+        costs.extend(bundle.costs)
+        pos += 2 * bundle.n_dg
+        x_cols[ds] = cols
+        for u, (i, c) in enumerate(zip(buses, cols)):
+            lo, hi = max(lb[c], bundle.x_min[u]), min(ub[c], bundle.x_max[u])
+            if lo > hi:
+                raise ValueError(
+                    f"DS {ds}: bundle v range [{bundle.x_min[u]}, {bundle.x_max[u]}] misses "
+                    f"the band [{lb[c]}, {ub[c]}] of TS bus {bus_ids[u]}"
+                )
+            lb[c], ub[c], x0[c] = lo, hi, np.clip(x0[c], lo, hi)
+            loads.append((i, cols, bundle.pcc[u]["p"], bundle.pcc[u]["q"]))
+        lb_parts.append(bundle.x_min[r:])
+        ub_parts.append(bundle.x_max[r:])
+    lb, ub = np.concatenate(lb_parts), np.concatenate(ub_parts)
+    x0 = np.concatenate([x0, (lb[nb:] + ub[nb:]) / 2])
     nx = pos
 
-    # PCCs in pseudo-source column order; per PCC and direction one coupling
-    # (x_j block, regression, pseudo-source column)
-    pccs = [(ds, u) for ds in ds_ids for u in range(bundles[ds].n_pcc)]
-    couplings = [
-        (x_slices[ds], bundles[ds].pcc[u][key], isl.start + c)
-        for c, (ds, u) in enumerate(pccs)
-        for key, isl in (("p", i_px), ("q", i_qx))
-    ]
-    pcc_pos = np.array([ts_case.bus_index(bus) for bus in covered], dtype=int)
-    kx = np.zeros((n, npcc))  # pseudo-source incidence
-    kx[pcc_pos, np.arange(npcc)] = 1.0
-
-    lb = np.concatenate([ts.lb, np.full(nx - nb, -np.inf)])
-    ub = np.concatenate([ts.ub, np.full(nx - nb, np.inf)])
-    x0 = np.concatenate([ts.x0, np.zeros(nx - nb)])
-    for ds in ds_ids:
-        sl = x_slices[ds]
-        lb[sl] = bundles[ds].x_min
-        ub[sl] = bundles[ds].x_max
-        x0[sl] = (lb[sl] + ub[sl]) / 2
-    for sl, qm, col in couplings:
-        # wide symmetric bounds so the couplings, not these boxes, bind
-        bound = 1.5 * _quad_box_bound(qm, lb[sl], ub[sl]) + 0.1
-        lb[col], ub[col] = -bound, bound
-        x0[col] = -qm.predict(x0[sl])
-
-    # DG generation cost sits on the p components of each x_j
-    dg_cols = [
-        (x_slices[ds].start + bundles[ds].n_pcc + k, cost)
-        for ds in ds_ids
-        for k, cost in enumerate(bundles[ds].costs)
-    ]
+    p_cols = np.array(p_cols, dtype=int)
+    ca = np.array([c.a for c in costs])
+    cb = np.array([c.b for c in costs])
+    cc = np.array([c.c for c in costs])
 
     def objective(x):
         f, grad_ts = ts.objective(x[:nb])
+        p = x[p_cols]
         grad = np.zeros(nx)
         grad[:nb] = grad_ts
-        for i, cost in dg_cols:
-            p = x[i]
-            f += cost.a * p * p + cost.b * p + cost.c
-            grad[i] = 2 * cost.a * p + cost.b
-        return f, grad
-
-    # equality rows: 2n bus balance, then per PCC its v-link, then couplings
-    coup_start = 2 * n + npcc
-    m_eq = coup_start + 2 * npcc
-    link_rows = np.arange(2 * n, coup_start)
-    link_x = np.array([x_slices[ds].start + u for ds, u in pccs], dtype=int)
-    link_vm = ts.var_slices["vm"].start + pcc_pos
+        grad[p_cols] = 2 * ca * p + cb
+        return f + float(np.sum(ca * p * p + cb * p + cc)), grad
 
     def equalities(x):
-        g_ts, jac_ts = ts.eq(x[:nb])
-        g = np.zeros(m_eq)
-        jac = np.zeros((m_eq, nx))
-        s_x = kx @ (x[i_px] + 1j * x[i_qx])
-        g[:n] = g_ts[:n] - s_x.real
-        g[n : 2 * n] = g_ts[n:] - s_x.imag
-        jac[: 2 * n, :nb] = jac_ts
-        jac[:n, i_px] = -kx
-        jac[n : 2 * n, i_qx] = -kx
-        g[link_rows] = x[link_x] - x[link_vm]
-        jac[link_rows, link_x] = 1.0
-        jac[link_rows, link_vm] = -1.0
-        for row, (sl, qm, col) in enumerate(couplings, start=coup_start):
-            xj = x[sl]
-            g[row] = qm.predict(xj) + x[col]
-            jac[row, sl] = 2 * qm.a_quad @ xj + qm.b_quad
-            jac[row, col] = 1.0
+        g, jac_ts = ts.eq(x[:nb])
+        jac = np.zeros((2 * n, nx))
+        jac[:, :nb] = jac_ts
+        for i, cols, t_p, t_q in loads:
+            xj = x[cols]
+            for row, t in ((i, t_p), (n + i, t_q)):
+                g[row] += t.predict(xj)
+                jac[row, cols] += 2 * t.a_quad @ xj + t.b_quad
         return g, jac
 
     def inequalities(x):
@@ -178,11 +133,10 @@ def assemble_pp(
 
     def lag_hess(x, sigma, lam, mu):
         hess = np.zeros((nx, nx))
-        hess[:nb, :nb] = ts.lag_hess(x[:nb], sigma, lam[: 2 * n], mu)
-        for row, (sl, qm, _) in enumerate(couplings, start=coup_start):
-            hess[sl, sl] += 2.0 * lam[row] * qm.a_quad
-        for i, cost in dg_cols:
-            hess[i, i] += sigma * 2 * cost.a
+        hess[:nb, :nb] = ts.lag_hess(x[:nb], sigma, lam, mu)
+        for i, cols, t_p, t_q in loads:
+            hess[np.ix_(cols, cols)] += 2.0 * (lam[i] * t_p.a_quad + lam[n + i] * t_q.a_quad)
+        hess[p_cols, p_cols] += sigma * 2 * ca
         return hess
 
     problem = NlpProblem(
@@ -193,35 +147,34 @@ def assemble_pp(
         lag_hess=lag_hess,
         equalities=equalities,
         inequalities=inequalities,
-        var_slices={**ts.var_slices, "px": i_px, "qx": i_qx},
+        var_slices=ts.var_slices,
         meta={
             **ts.meta,
             "dg_gens": [],  # the DGs are the x_j blocks, not TS generator columns
-            "x_ds_slices": x_slices,
+            "x_ds_cols": x_cols,
         },
     )
 
     # per DS its facet rows, then its chart rows
     blocks = []
     for ds in ds_ids:
-        bundle = bundles[ds]
+        bundle, cols = bundles[ds], x_cols[ds]
         a = np.zeros((bundle.fr.n_h, nx))
-        a[:, x_slices[ds]] = bundle.fr.a_fr
+        a[:, cols] = bundle.fr.a_fr
         blocks.append((a, bundle.fr.b_fr))
         if charts_enforced and bundle.charts:
-            p0 = x_slices[ds].start + bundle.n_pcc
-            k = np.arange(bundle.n_dg)
-            blocks.append(chart_rows(bundle.charts, p0 + k, p0 + bundle.n_dg + k, nx))
+            r, n_dg = bundle.n_pcc, bundle.n_dg
+            blocks.append(chart_rows(bundle.charts, cols[r : r + n_dg], cols[r + n_dg :], nx))
     if blocks:
         append_linear_inequalities(
             problem, np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
         )
-    return PpProblem(ts_case=ts_case, bundles=bundles, problem=problem, pcc_order=pcc_order)
+    return problem
 
 
-def solve_pp(pp: PpProblem, opts: NlpOptions | None = None) -> OpfSolution:
+def solve_pp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolution:
     """Solve the assembled problem; x_ds views give DG dispatch directly."""
-    return solve_nlp(pp.problem, opts)
+    return solve_nlp(problem, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +254,8 @@ def verify_dispatch(
             gens[g] = replace(gens[g], p_min=p, p_max=p, q_min=q, q_max=q)
     pinned = replace(integrated_case, generators=gens)
 
-    charts = None
-    if integrated_case.dg_charts:
-        charts = []
-        for ds in sorted(dg_map):
-            charts.extend(integrated_case.charts_for(ds, dg_map[ds]))
-
-    problem = assemble_standard(pinned)
-    if charts:
-        problem = assemble_polygon_extension(problem, charts)
-    t0 = time.perf_counter()
-    sol = solve_nlp(problem, opts)
-    dt = time.perf_counter() - t0
+    charts = integrated_case.all_dg_charts() if integrated_case.dg_charts else None
+    sol = solve_standard(pinned, opts, charts)
 
     raw = float(pp_solution.objective)
     if not sol.optimal:
@@ -323,7 +266,7 @@ def verify_dispatch(
             raw_cost=raw,
             pcc_flow_error=float("nan"),
             message=f"re-solve {sol.status}: {sol.message}",
-            solve_time=dt,
+            solve_time=sol.solve_time,
             iterations=sol.iterations,
         )
 
@@ -360,6 +303,6 @@ def verify_dispatch(
         verified_cost=float(sol.objective),
         raw_cost=raw,
         pcc_flow_error=float(err),
-        solve_time=dt,
+        solve_time=sol.solve_time,
         iterations=sol.iterations,
     )

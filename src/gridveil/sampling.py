@@ -266,8 +266,13 @@ def write_csv(path, ds: Dataset) -> None:
     with open(path, "w") as fh:
         fh.write(csv_header(ds.names, ds.n_pcc) + "\n")
         fh.writelines(row_fmt % tuple(row) for row in rows)
+    write_sidecar(path, ds.meta)
+
+
+def write_sidecar(path, meta: dict) -> None:
+    """Write provenance for the artifact at ``path`` to ``<path>.meta.json``."""
     with open(_sidecar(path), "w") as fh:
-        json.dump(ds.meta, fh, indent=1, sort_keys=True)
+        json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

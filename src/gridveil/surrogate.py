@@ -436,12 +436,13 @@ def regression_metrics(model: QuadraticModel, x: np.ndarray, target: np.ndarray)
 # JSON schema (the only artifact crossing the privacy boundary):
 #   {ds_id, n_pcc, n_dg, x_min[], x_max[], fr:{W[][], b[]},
 #    pcc:[{p:{A[][], b[], c}, q:{A[][], b[], c}}], charts:[vertices],
-#    costs:[{a, b, c}], meta:{flat scalars}}
+#    costs:[{a, b, c}]}
 # x layout is (v_pcc_1..r p.u., p_dg_1..n MW, q_dg_1..n MVAr); quadratic
 # outputs are per-unit PCC consumption seen from the TS.  Anything outside
-# this whitelist (branches, impedances, loads, topology) is rejected.
+# this whitelist (branches, impedances, loads, topology, provenance meta) is
+# rejected; provenance stays DS-side.
 
-_BUNDLE_KEYS = {"ds_id", "n_pcc", "n_dg", "x_min", "x_max", "fr", "pcc", "charts", "costs", "meta"}
+_BUNDLE_KEYS = {"ds_id", "n_pcc", "n_dg", "x_min", "x_max", "fr", "pcc", "charts", "costs"}
 _FR_KEYS = {"W", "b"}
 _PCC_KEYS = {"p", "q"}
 _QUAD_KEYS = {"A", "b", "c"}
@@ -459,7 +460,6 @@ class SurrogateBundle:
     pcc: list[dict]  # per PCC: {"p": QuadraticModel, "q": QuadraticModel}
     charts: list[PQChart]
     costs: list[CostPoly]
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_x(self) -> int:
@@ -498,7 +498,7 @@ def validate_bundle_dict(d: dict) -> None:
     Every number must be finite and the box nonempty, so a corrupt bundle is
     refused here instead of surfacing as an infeasible coupled solve.
     """
-    _check_keys(d, _BUNDLE_KEYS, _BUNDLE_KEYS - {"meta", "charts"}, "bundle")
+    _check_keys(d, _BUNDLE_KEYS, _BUNDLE_KEYS - {"charts"}, "bundle")
     n_pcc, n_dg = int(d["n_pcc"]), int(d["n_dg"])
     n_x = n_pcc + 2 * n_dg
     _require(n_pcc >= 1 and n_dg >= 0, "bundle: bad counts")
@@ -540,13 +540,6 @@ def validate_bundle_dict(d: dict) -> None:
     for k, cd in enumerate(d["costs"]):
         _check_keys(cd, _COST_KEYS, _COST_KEYS, f"costs[{k}]")
         _require_finite([cd["a"], cd["b"], cd["c"]], f"costs[{k}]")
-    if "meta" in d:
-        _require(isinstance(d["meta"], dict), "meta: expected an object")
-        for k, v in d["meta"].items():
-            _require(
-                isinstance(v, (str, int, float, bool)) and isinstance(k, str),
-                "meta: flat scalar entries only",
-            )
 
 
 def export_bundle(bundle: SurrogateBundle, path) -> None:
@@ -561,8 +554,6 @@ def export_bundle(bundle: SurrogateBundle, path) -> None:
         "charts": [[list(v) for v in chart.vertices] for chart in bundle.charts],
         "costs": [{"a": c.a, "b": c.b, "c": c.c} for c in bundle.costs],
     }
-    if bundle.meta:
-        d["meta"] = bundle.meta
     validate_bundle_dict(json.loads(json.dumps(d)))
     with open(path, "w") as fh:
         json.dump(d, fh, indent=1)
@@ -587,5 +578,4 @@ def import_bundle(path) -> SurrogateBundle:
         pcc=pcc,
         charts=charts,
         costs=costs,
-        meta=d.get("meta", {}),
     )

@@ -6,6 +6,7 @@ import pytest
 
 from gridveil.bench import report_from_json, summarize
 from gridveil.cli import run
+from gridveil.netmodel import bundled_case
 from gridveil.sampling import read_csv
 from gridveil.surrogate import export_bundle, import_bundle
 
@@ -116,7 +117,10 @@ def test_trained_artifacts_carry_provenance(tiny_artifacts):
     assert bundle.ds_id == 1
     assert bundle.n_dg == 1
     assert bundle.costs[0].b == 20.0
-    assert bundle.meta["command"].startswith("gridveil bundle ")
+    # import_bundle refuses a meta block: the provenance stays DS-side
+    side = json.loads(Path(str(tiny_artifacts["bundle"]) + ".meta.json").read_text())
+    assert side["command"].startswith("gridveil bundle ")
+    assert side["case_hash"] == bundled_case("ds1").text_hash()
 
 
 def test_bundle_rejects_duplicate_ds(tiny_artifacts, tmp_path, capsys):

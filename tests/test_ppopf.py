@@ -9,19 +9,19 @@ import gridveil.ppopf as ppopf_module
 from gridveil.acopf import NlpOptions, assemble_standard, kkt_report, solve_nlp
 from gridveil.netmodel import CostPoly, rectangle_chart
 from gridveil.ppopf import assemble_pp, solve_pp, verify_dispatch
-from gridveil.surrogate import PolytopeModel
+from gridveil.surrogate import PolytopeModel, QuadraticModel
 
 from oracles import fd_jacobian, rel_err
 
 
 @pytest.fixture(scope="module")
-def pp(ts30, quick_bundles):
+def problem(ts30, quick_bundles):
     return assemble_pp(ts30, quick_bundles, charts_enforced=True)
 
 
 @pytest.fixture(scope="module")
-def pp_sol(pp):
-    sol = solve_pp(pp)
+def pp_sol(problem):
+    sol = solve_pp(problem)
     assert sol.optimal, sol.message
     return sol
 
@@ -29,20 +29,29 @@ def pp_sol(pp):
 # ----------------------------------------------------------------- assembly
 
 
-def test_variable_and_row_layout(pp, ts30, quick_bundles):
-    problem = pp.problem
+def test_variable_and_row_layout(problem, ts30, quick_bundles):
     n, ng = ts30.n_bus, ts30.n_gen
-    npcc = sum(b.n_pcc for b in quick_bundles.values())
-    n_xds = sum(b.n_x for b in quick_bundles.values())
-    assert problem.n == 2 * n + 2 * ng + 2 * npcc + n_xds
-    assert problem.var_slices["px"].stop - problem.var_slices["px"].start == npcc
+    nb = 2 * n + 2 * ng
+    n_dg = sum(b.n_dg for b in quick_bundles.values())
+    assert problem.n == nb + 2 * n_dg  # only the DG (p, q) columns are added
 
-    sl1 = problem.meta["x_ds_slices"][1]
-    assert sl1.stop - sl1.start == 3  # one PCC voltage + one DG (p, q)
+    # x_1 is the vm column of its PCC bus, then the first added (p, q) pair
+    vm = problem.var_slices["vm"].start
+    cols = problem.meta["x_ds_cols"]
+    assert list(cols[1]) == [vm + ts30.bus_index(11), nb, nb + 1]
+    added = np.concatenate([cols[ds][b.n_pcc :] for ds, b in sorted(quick_bundles.items())])
+    assert np.array_equal(added, np.arange(nb, problem.n))
+
+    # a PCC's vm box is the TS band narrowed to the bundle's v range
+    for ds, b in quick_bundles.items():
+        for u, (_, bus) in enumerate(ts30.pcc_map[ds]):
+            c = cols[ds][u]
+            assert problem.lb[c] == max(ts30.bus(bus).v_min, b.x_min[u])
+            assert problem.ub[c] == min(ts30.bus(bus).v_max, b.x_max[u])
+            assert problem.lb[c] <= problem.x0[c] <= problem.ub[c]
 
     g, jg = problem.eq(problem.x0)
-    # balance rows, one v-link per PCC, one coupling per PCC per direction
-    assert len(g) == 2 * n + npcc + 2 * npcc
+    assert len(g) == 2 * n  # the bus balance rows, nothing else
     assert jg.shape == (len(g), problem.n)
 
     h, _ = problem.ineq(problem.x0)
@@ -54,13 +63,24 @@ def test_variable_and_row_layout(pp, ts30, quick_bundles):
     assert len(h) == n_flow_rows + n_facets + n_chart_rows
 
 
+def _idle(bundle):
+    """The bundle with zero regressions and costs, and a v range over any TS band."""
+    zero = QuadraticModel(np.zeros((bundle.n_x, bundle.n_x)), np.zeros(bundle.n_x), 0.0)
+    x_min, x_max = bundle.x_min.copy(), bundle.x_max.copy()
+    x_min[: bundle.n_pcc], x_max[: bundle.n_pcc] = 0.5, 1.5
+    return dataclasses.replace(
+        bundle,
+        x_min=x_min,
+        x_max=x_max,
+        pcc=[{"p": zero, "q": zero}] * bundle.n_pcc,
+        costs=[CostPoly(0.0, 0.0, 0.0)] * bundle.n_dg,
+    )
+
+
 def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
-    # free DGs and idle pseudo sources leave exactly the TS's own OPF
-    free = {
-        ds: dataclasses.replace(b, costs=[CostPoly(0.0, 0.0, 0.0)] * b.n_dg)
-        for ds, b in quick_bundles.items()
-    }
-    problem = assemble_pp(ts30, free, charts_enforced=True).problem
+    # idle surrogates leave exactly the TS's own OPF
+    idle = {ds: _idle(b) for ds, b in quick_bundles.items()}
+    problem = assemble_pp(ts30, idle, charts_enforced=True)
     std = assemble_standard(ts30)
     nb, n = std.n, ts30.n_bus
     for got, want in ((problem.x0, std.x0), (problem.lb, std.lb), (problem.ub, std.ub)):
@@ -70,12 +90,10 @@ def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
     hi = np.where(np.isfinite(problem.ub), problem.ub, 1.0)
     for _ in range(3):
         x = lo + rng.uniform(size=problem.n) * (hi - lo)
-        x[problem.var_slices["px"]] = 0.0
-        x[problem.var_slices["qx"]] = 0.0
         g, jg = problem.eq(x)
         g_std, jg_std = std.eq(x[:nb])
-        assert np.array_equal(g[: 2 * n], g_std)
-        assert np.array_equal(jg[: 2 * n, :nb], jg_std)
+        assert np.array_equal(g, g_std)
+        assert np.array_equal(jg[:, :nb], jg_std) and not np.any(jg[:, nb:])
         h, jh = problem.ineq(x)
         h_std, jh_std = std.ineq(x[:nb])
         assert np.array_equal(h[:n_flow], h_std)
@@ -84,8 +102,18 @@ def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
         lam = rng.normal(size=len(g))
         mu = rng.uniform(size=len(h))
         hess = problem.lag_hess(x, 0.5, lam, mu)
-        hess_std = std.lag_hess(x[:nb], 0.5, lam[: 2 * n], mu[:n_flow])
+        hess_std = std.lag_hess(x[:nb], 0.5, lam, mu[:n_flow])
         assert np.array_equal(hess[:nb, :nb], hess_std)
+
+
+def test_assembly_names_an_empty_pcc_band(ts30, quick_bundles):
+    # DS 2's second PCC sits on TS bus 17, whose band is [0.95, 1.05]
+    b = quick_bundles[2]
+    x_min, x_max = b.x_min.copy(), b.x_max.copy()
+    x_min[1], x_max[1] = 1.10, 1.20
+    bad = dataclasses.replace(b, x_min=x_min, x_max=x_max)
+    with pytest.raises(ValueError, match=r"DS 2: bundle v range .* of TS bus 17$"):
+        assemble_pp(ts30, {**quick_bundles, 2: bad})
 
 
 def _closure_wrapped(problem):
@@ -105,8 +133,7 @@ def _closure_wrapped(problem):
     )
 
 
-def test_linear_rows_match_closure_wrapped_form(pp, pp_sol):
-    problem = pp.problem
+def test_linear_rows_match_closure_wrapped_form(problem, pp_sol):
     wrapped = _closure_wrapped(problem)
     assert len(wrapped.b_lin) == 0
     n_flow = len(problem.nonlinear_ineq(problem.x0)[0])
@@ -126,9 +153,9 @@ def test_linear_rows_match_closure_wrapped_form(pp, pp_sol):
     assert abs(sol_w.objective - pp_sol.objective) <= 1e-10 * abs(pp_sol.objective)
 
 
-def test_ts_generators_are_not_dgs(pp):
+def test_ts_generators_are_not_dgs(problem):
     # the DGs are the x_j blocks; no TS generator column takes chart rows
-    assert pp.problem.meta.get("dg_gens", []) == []
+    assert problem.meta.get("dg_gens", []) == []
 
 
 def test_assembly_requires_full_pcc_coverage(ts30, quick_bundles):
@@ -151,10 +178,9 @@ def test_assembly_rejects_missing_costs(ts30, quick_bundles):
 # ----------------------------------------------------------- solution facts
 
 
-def test_solution_satisfies_surrogate_constraints(pp, pp_sol):
-    x = pp_sol.x
-    for ds, bundle in pp.bundles.items():
-        xj = x[pp.problem.meta["x_ds_slices"][ds]]
+def test_solution_satisfies_surrogate_constraints(pp_sol, quick_bundles):
+    for ds, bundle in quick_bundles.items():
+        xj = pp_sol.x_ds[ds]
         assert np.max(bundle.fr.a_fr @ xj - bundle.fr.b_fr) <= 1e-6
         r = bundle.n_pcc
         for k, chart in enumerate(bundle.charts):
@@ -164,28 +190,26 @@ def test_solution_satisfies_surrogate_constraints(pp, pp_sol):
         assert np.all(xj <= bundle.x_max + 1e-8)
 
 
-def test_solution_links_voltages_and_flows(pp, pp_sol):
-    g, _ = pp.problem.eq(pp_sol.x)
-    assert np.max(np.abs(g)) < 1e-6  # v-links and couplings included
-    vm = pp_sol.x[pp.problem.var_slices["vm"]]
-    for ds, buses in pp.pcc_order.items():
-        xj = pp_sol.x[pp.problem.meta["x_ds_slices"][ds]]
-        for u, bus in enumerate(buses):
-            assert abs(xj[u] - vm[pp.ts_case.bus_index(bus)]) < 1e-8
+def test_solution_links_voltages_and_flows(problem, pp_sol, ts30):
+    g, _ = problem.eq(pp_sol.x)
+    assert np.max(np.abs(g)) < 1e-6
+    # x_j's voltages are the PCC buses' own vm columns
+    for ds, couplings in ts30.pcc_map.items():
+        for u, (_, bus) in enumerate(couplings):
+            assert pp_sol.x_ds[ds][u] == pp_sol.v[ts30.bus_index(bus)]
 
 
-def test_pseudo_sources_match_regressions(pp, pp_sol):
-    x = pp_sol.x
-    px = x[pp.problem.var_slices["px"]]
-    qx = x[pp.problem.var_slices["qx"]]
-    col = 0
-    for ds in sorted(pp.bundles):
-        bundle = pp.bundles[ds]
-        xj = x[pp.problem.meta["x_ds_slices"][ds]]
-        for u in range(bundle.n_pcc):
-            assert abs(bundle.pcc[u]["p"].predict(xj) + px[col]) < 1e-6
-            assert abs(bundle.pcc[u]["q"].predict(xj) + qx[col]) < 1e-6
-            col += 1
+def test_pcc_balance_carries_regressed_load(pp_sol, ts30, quick_bundles):
+    # the standard balance at a PCC bus is short by exactly the regressed load
+    std = assemble_standard(ts30)
+    g_std, _ = std.eq(pp_sol.x[: std.n])
+    n = ts30.n_bus
+    for ds, bundle in quick_bundles.items():
+        xj = pp_sol.x_ds[ds]
+        for u, (_, bus) in enumerate(ts30.pcc_map[ds]):
+            i = ts30.bus_index(bus)
+            assert abs(g_std[i] + bundle.pcc[u]["p"].predict(xj)) < 1e-6
+            assert abs(g_std[n + i] + bundle.pcc[u]["q"].predict(xj)) < 1e-6
 
 
 # ------------------------------------------------------- relaxation ordering
@@ -255,8 +279,7 @@ def test_dg_price_steers_dispatch(ts30, quick_bundles):
 # ----------------------------------------------------------- derivatives
 
 
-def test_pp_callbacks_match_fd(pp, rng):
-    problem = pp.problem
+def test_pp_callbacks_match_fd(problem, rng):
     lb, ub = problem.lb, problem.ub
     span = ub - lb
     lo = np.where(np.isfinite(span), lb + 0.05 * span, -1.0)
@@ -305,12 +328,12 @@ def test_assembly_runs_with_loaders_disabled(ts30, quick_bundles, monkeypatch):
     monkeypatch.setattr(powerflow, "newton_pf", bomb)
     monkeypatch.setattr(powerflow, "ds_response", bomb)
 
-    pp = assemble_pp(ts30, quick_bundles, charts_enforced=True)
-    x = pp.problem.x0
-    pp.problem.objective(x)
-    g, _ = pp.problem.eq(x)
-    h, _ = pp.problem.ineq(x)
-    pp.problem.lag_hess(x, 1.0, np.zeros(len(g)), np.zeros(len(h)))
+    problem = assemble_pp(ts30, quick_bundles, charts_enforced=True)
+    x = problem.x0
+    problem.objective(x)
+    g, _ = problem.eq(x)
+    h, _ = problem.ineq(x)
+    problem.lag_hess(x, 1.0, np.zeros(len(g)), np.zeros(len(h)))
 
 
 # ------------------------------------------------------------- verification

@@ -385,7 +385,6 @@ def small_bundle(rng):
         pcc=[{"p": quad(), "q": quad()}],
         charts=[polygon_from_vertices([(0.0, -0.4), (1.5, -0.4), (1.5, 0.4), (0.0, 0.4)])],
         costs=[CostPoly(0.02, 12.5, 0.0)],
-        meta={"trained_on": "unit-test", "samples": 0},
     )
 
 
@@ -404,7 +403,6 @@ def test_bundle_round_trip_identical(rng, tmp_path):
         assert back.pcc[0][key].c_quad == bundle.pcc[0][key].c_quad
     assert back.charts[0].vertices == bundle.charts[0].vertices
     assert back.costs[0] == bundle.costs[0]
-    assert back.meta == bundle.meta
 
 
 def good_dict(rng, tmp_path):
@@ -424,8 +422,7 @@ def good_dict(rng, tmp_path):
         (lambda d: d["fr"]["W"][0].append(0.0), "W must be n_h x n_x"),
         (lambda d: d["fr"]["b"].append(0.0), "b length != n_h"),
         (lambda d: d["pcc"].append(d["pcc"][0]), "one entry per PCC"),
-        (lambda d: d.update(meta={"nested": {"a": 1}}), "flat scalar entries only"),
-        (lambda d: d.update(meta={"rows": [1, 2]}), "flat scalar entries only"),
+        (lambda d: d.update(meta={"command": "x"}), r"bundle: field\(s\) \['meta'\] not in"),
         (lambda d: d.update(charts=[[[0.0, 0.0], [1.0, 0.0]]]), "need >=3"),
         (lambda d: d["fr"]["W"][0].__setitem__(0, float("nan")), r"fr\.W: non-finite"),
         (lambda d: d["fr"]["b"].__setitem__(2, float("inf")), r"fr\.b: non-finite"),
@@ -468,7 +465,27 @@ def test_import_rejects_nan_facet(quick_bundles, tmp_path):
 
 
 def test_export_refuses_foreign_meta(rng, tmp_path):
-    bundle = small_bundle(rng)
-    bundle.meta["nested"] = {"x": 1}
-    with pytest.raises(BundleSchemaError):
-        export_bundle(bundle, tmp_path / "nope.json")
+    # provenance stays DS-side: a bundle file with a meta block is refused
+    path = tmp_path / "b.json"
+    export_bundle(small_bundle(rng), path)
+    d = json.loads(path.read_text())
+    assert "meta" not in d
+    d["meta"] = {"command": "gridveil bundle --case ds1", "case_hash": "0123abcd"}
+    path.write_text(json.dumps(d))
+    with pytest.raises(BundleSchemaError, match=r"bundle: field\(s\) \['meta'\] not in"):
+        import_bundle(path)
+
+
+def test_exported_bundle_holds_no_string_value(quick_bundles, tmp_path):
+    # numbers only: no field can carry a path, a command line or a hash
+    def strings(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            return [s for v in node for s in strings(v)]
+        return [node] if isinstance(node, str) else []
+
+    for ds, bundle in quick_bundles.items():
+        path = tmp_path / f"ds{ds}.json"
+        export_bundle(bundle, path)
+        assert strings(json.loads(path.read_text())) == []
