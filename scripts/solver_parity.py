@@ -5,7 +5,8 @@ Each trial is one tso-dispatch operation of perfbench (``Dispatch.op``): the
 standard AC-OPF on the integrated network with its DG charts, the
 privacy-preserving OPF against the bundles, and the verification re-solve.
 Each trial prints one JSON line with the status, iteration count and
-objective of the three solves, so runs of two checkouts can be diffed:
+objective of the three solves, and the verification's ``feasible_true`` and
+``pcc_flow_error``, so runs of two checkouts can be diffed:
 
     python scripts/solver_parity.py --perfbench-seeds 601-610 --trials 5
     python scripts/solver_parity.py --bundles b1.json b2.json b3.json --seed 5 --trials 10
@@ -43,7 +44,8 @@ def solve_record(status: str, iterations: int, objective: float) -> dict:
 
 
 def trial_record(trial) -> dict:
-    """Status, iterations and objective of the three solves of one trial."""
+    """Status, iterations and objective of the three solves of one trial,
+    with the verification's verdict and coupling-flow error."""
     out = {
         "std": solve_record(trial.std.status, trial.std.iterations, trial.std.objective),
         "pp": solve_record(trial.pp.status, trial.pp.iterations, trial.pp.objective),
@@ -52,7 +54,11 @@ def trial_record(trial) -> dict:
     rep = trial.report
     if rep is not None:
         status = rep.message or "optimal"
-        out["verify"] = solve_record(status, rep.iterations, rep.verified_cost)
+        out["verify"] = {
+            **solve_record(status, rep.iterations, rep.verified_cost),
+            "feasible_true": bool(rep.feasible_true),
+            "pcc_flow_error": float(rep.pcc_flow_error),
+        }
     return out
 
 

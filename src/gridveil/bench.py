@@ -18,7 +18,7 @@ import numpy as np
 from .acopf import NlpOptions, solve_standard
 from .netmodel import CostPoly, NetworkCase
 from .ppopf import assemble_pp, solve_pp, verify_dispatch
-from .sampling import pool_map, resolve_jobs
+from .sampling import pool_map, resolve_jobs, write_json
 from .surrogate import SurrogateBundle
 
 # defaults straddle typical thermal-unit marginal costs so the cheap side
@@ -149,7 +149,6 @@ def run_benchmark(
     opts: NlpOptions | None = None,
     charts_enforced: bool = True,
     jobs: int | None = None,
-    ranges=(COST_A_RANGE, COST_B_RANGE),
 ) -> BenchReport:
     """Paired cost trials over the integrated network and its surrogate twin.
 
@@ -159,7 +158,7 @@ def run_benchmark(
     """
     if "dg_map" not in integrated_case.meta:
         raise ValueError("integrated case lacks merge metadata")
-    cost_sets = random_costs(integrated_case, n_trials, seed, ranges)
+    cost_sets = random_costs(integrated_case, n_trials, seed)
     charts_std = integrated_case.all_dg_charts()
 
     trials = pool_map(
@@ -182,7 +181,7 @@ def run_benchmark(
         "integrated_case": integrated_case.name,
         "ts_case": ts_case.name,
         "charts_enforced": bool(charts_enforced),
-        "cost_ranges": [list(ranges[0]), list(ranges[1])],
+        "cost_ranges": [list(COST_A_RANGE), list(COST_B_RANGE)],
     }
     return BenchReport(trials=trials, summary=summarize(trials), meta=meta)
 
@@ -239,9 +238,7 @@ def report_to_json(report: BenchReport, path, command: str | None = None) -> Non
         "summary": report.summary,
         "trials": [asdict(t) for t in report.trials],
     }
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1, allow_nan=True)
-        fh.write("\n")
+    write_json(path, d)
 
 
 def report_from_json(path) -> BenchReport:

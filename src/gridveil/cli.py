@@ -30,20 +30,26 @@ from .sampling import (
     sample_space,
     split_dataset,
     write_csv,
+    write_json,
     write_sidecar,
 )
 from .surrogate import (
+    BundleSchemaError,
     PolytopeModel,
     SurrogateBundle,
     TrainConfig,
     classification_metrics,
     export_bundle,
     fit_quadratic,
+    fr_from_dict,
+    fr_to_dict,
     import_bundle,
     pcc_from_dict,
     pcc_to_dict,
     regression_metrics,
     train_fr,
+    validate_fr_dict,
+    validate_pcc_dict,
 )
 
 
@@ -86,46 +92,41 @@ def _default_charts(case: NetworkCase):
 # ---------------------------------------------------------------- artifacts
 
 def save_fr_model(model: PolytopeModel, path, extra_meta: dict | None = None) -> None:
-    d = {
-        "kind": "fr_polytope",
-        "W": model.w.tolist(),
-        "b": model.b.tolist(),
-        "meta": {**model.meta, **(extra_meta or {})},
-    }
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+    meta = {**model.meta, **(extra_meta or {})}
+    write_json(path, {"kind": "fr_polytope", **fr_to_dict(model), "meta": meta})
 
 
-def load_fr_model(path) -> PolytopeModel:
+def _read_artifact(path, kind: str, what: str) -> dict:
     with open(path) as fh:
         d = json.load(fh)
-    if d.get("kind") != "fr_polytope":
-        raise ValueError(f"{path}: not a polytope model file")
-    w = np.asarray(d["W"], dtype=float)
-    b = np.asarray(d["b"], dtype=float)
-    if w.ndim != 2 or b.shape != (w.shape[0],):
-        raise ValueError(f"{path}: inconsistent W/b shapes")
-    return PolytopeModel(w=w, b=b, meta=dict(d.get("meta", {})))
+    if not isinstance(d, dict) or d.get("kind") != kind:
+        raise ValueError(f"{path}: not a {what} file")
+    return d
+
+
+def load_fr_model(path, n_x: int) -> PolytopeModel:
+    """A trained polytope over n_x inputs, checked as a bundle's ``fr`` is."""
+    d = _read_artifact(path, "fr_polytope", "polytope model")
+    fr = {k: v for k, v in d.items() if k not in ("kind", "meta")}
+    validate_fr_dict(fr, n_x, where=f"{path}: fr")
+    model = fr_from_dict(fr)
+    model.meta = dict(d.get("meta", {}))
+    return model
 
 
 def save_pq_models(models: list[dict], path, meta: dict | None = None) -> None:
-    d = {
-        "kind": "pcc_quadratics",
-        "models": [pcc_to_dict(m) for m in models],
-        "meta": meta or {},
-    }
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+    models = [pcc_to_dict(m) for m in models]
+    write_json(path, {"kind": "pcc_quadratics", "models": models, "meta": meta or {}})
 
 
-def load_pq_models(path) -> list[dict]:
-    with open(path) as fh:
-        d = json.load(fh)
-    if d.get("kind") != "pcc_quadratics":
-        raise ValueError(f"{path}: not a coupling-regression file")
-    return [pcc_from_dict(m, u) for u, m in enumerate(d["models"])]
+def load_pq_models(path, n_x: int) -> list[dict]:
+    """Coupling regressions over n_x inputs, each checked as a bundle's ``pcc`` entry is."""
+    models = _read_artifact(path, "pcc_quadratics", "coupling-regression").get("models")
+    if not isinstance(models, list):
+        raise BundleSchemaError(f"{path}: models: expected a list, one entry per PCC")
+    for u, entry in enumerate(models):
+        validate_pcc_dict(entry, n_x, f"{path}: models[{u}]")
+    return [pcc_from_dict(m, u) for u, m in enumerate(models)]
 
 
 def save_solution(sol, path, command: str, case_name: str, mode: str) -> None:
@@ -140,17 +141,12 @@ def save_solution(sol, path, command: str, case_name: str, mode: str) -> None:
     }
     if sol.x_ds is not None:
         d["x_ds"] = {str(ds): xj.tolist() for ds, xj in sol.x_ds.items()}
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+    write_json(path, d)
 
 
 def load_solution(path) -> OpfSolution:
     """A saved coupled solve; the file keeps no multipliers or violation."""
-    with open(path) as fh:
-        d = json.load(fh)
-    if d.get("kind") != "pp_solution":
-        raise ValueError(f"{path}: not a coupled-solve solution file")
+    d = _read_artifact(path, "pp_solution", "coupled-solve solution")
     return OpfSolution(
         x=np.asarray(d["x"], dtype=float),
         objective=float(d["objective"]),
@@ -259,9 +255,9 @@ def _cmd_bundle(ns, command: str) -> int:
     ds_id = ns.ds_id if ns.ds_id is not None else next(iter(case.pcc_map), None)
     if ds_id is None:
         raise UsageError("case has no coupling points; pass --ds-id explicitly")
-    fr = load_fr_model(ns.fr)
-    pcc = load_pq_models(ns.pq)
     space = sample_space(case)
+    fr = load_fr_model(ns.fr, space.n_x)
+    pcc = load_pq_models(ns.pq, space.n_x)
     if ns.dg_cost:
         costs = [_parse_cost(t) for t in ns.dg_cost]
         if len(costs) == 1:
@@ -347,9 +343,7 @@ def _cmd_verify(ns, command: str) -> int:
             "message": rep.message,
             "meta": {"command": command},
         }
-        with open(ns.out, "w") as fh:
-            json.dump(d, fh, indent=1)
-            fh.write("\n")
+        write_json(ns.out, d)
     return 0 if rep.feasible_true else 2
 
 

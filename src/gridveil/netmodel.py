@@ -246,8 +246,8 @@ class BranchTable:
     tau, series admittance y and total charging b, the currents entering it
     are I_f = yff V_f + yft V_t and I_t = ytf V_f + ytt V_t, where
     yff = (y + j b/2) / tau^2, yft = ytf = -y / tau and ytt = y + j b/2.
-    Open branches carry zero admittances.  Ybus and the flow rows (Yf, Yt)
-    are summed or copied from these vectors.
+    Open branches carry zero admittances.  Ybus is summed from these
+    vectors, and ``end_flows`` and ``acopf.BranchSet`` read them directly.
     """
 
     f: np.ndarray
@@ -283,6 +283,16 @@ class BranchTable:
         f, t = np.array(f, dtype=int), np.array(t, dtype=int)
         return cls(f, t, closed, closed & (s_max > 0), s_max, yff, yft, ytf, ytt)
 
+    def end_flows(self, v: np.ndarray):
+        """Complex power entering every branch at its from and to ends, p.u.
+
+        v holds bus voltages along its last axis: one vector or a batch.
+        """
+        vf, vt = v[..., self.f], v[..., self.t]
+        s_f = vf * np.conj(self.yff * vf + self.yft * vt)
+        s_t = vt * np.conj(self.ytf * vf + self.ytt * vt)
+        return s_f, s_t
+
 
 def build_admittance(case: NetworkCase) -> np.ndarray:
     """Standard pi-model bus admittance matrix (dense, complex, p.u.).
@@ -298,22 +308,6 @@ def build_admittance(case: NetworkCase) -> np.ndarray:
     y = np.zeros(n * n, dtype=complex)
     np.add.at(y, pos, vals)
     return y.reshape(n, n)
-
-
-def branch_admittances(case: NetworkCase):
-    """Per-branch from/to admittance rows (Yf, Yt), open branches zero.
-
-    S_from = diag(Cf V) conj(Yf V), likewise for the to end.
-    """
-    tab = case.branch_table
-    k = np.arange(len(tab.f))
-    yf = np.zeros((len(k), case.n_bus), dtype=complex)
-    yt = np.zeros_like(yf)
-    yf[k, tab.f] = tab.yff
-    yf[k, tab.t] = tab.yft
-    yt[k, tab.f] = tab.ytf
-    yt[k, tab.t] = tab.ytt
-    return yf, yt, tab.f.copy(), tab.t.copy()
 
 
 # ---------------------------------------------------------------------------

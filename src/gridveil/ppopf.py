@@ -30,6 +30,8 @@ from .netmodel import NetworkCase
 from .powerflow import LimitReport, check_limits, line_flows
 from .surrogate import SurrogateBundle
 
+VERIFY_TOL = 1e-5  # limit tolerance at the verified point, above the re-solve's 1e-6
+
 
 def assemble_pp(
     ts_case: NetworkCase,
@@ -226,7 +228,6 @@ def verify_dispatch(
     pp_solution: OpfSolution,
     bundles: dict[int, SurrogateBundle],
     opts: NlpOptions | None = None,
-    tol: float = 1e-5,
 ) -> VerificationReport:
     """Check a PP dispatch against the full network it was meant for.
 
@@ -271,7 +272,7 @@ def verify_dispatch(
         )
 
     v = sol.v * np.exp(1j * sol.theta)
-    rep = check_limits(pinned, v, tol=tol)
+    rep = check_limits(pinned, v, tol=VERIFY_TOL)
     split = _split_limit_report(pinned, rep)
 
     # regression error at the verified operating point: re-evaluate each

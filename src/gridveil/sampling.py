@@ -7,10 +7,11 @@ infeasible row (outside its capability chart, no converged flow, or a limit
 broken).
 
 Generation is deterministic for a given (case, n, seed): the sample matrix is
-drawn up front, and the in-chart rows are labelled by ``ds_response_batch`` in
-fixed blocks of ``BLOCK_ROWS`` rows, cut from the in-chart row indices alone.
-Workers receive whole blocks, so each row is solved in the same block under
-any --jobs value and the result is bit-identical.
+drawn up front, and the in-chart rows are labelled by ``ds_response_batch``,
+which solves them in fixed blocks of ``powerflow.BLOCK_ROWS`` rows from the
+first.  With --jobs above 1 each worker receives a run of whole blocks, so
+each row is solved in the same block under any --jobs value and the result
+is bit-identical.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ import numpy as np
 
 from . import __version__
 from .netmodel import NetworkCase, PQChart
-from .powerflow import ds_response_batch, ds_tables
-
-# Rows per batched power flow.  A block's Newton iterations share one
-# mismatch product and one stacked solve, so a larger block spreads the Python
-# overhead over more rows, but its (rows, 2m, 2m) Jacobian stack grows with it.
-# In one 30 s ds-labelling benchmark run each, 8-, 16- and 32-row blocks took
-# 164, 142 and 144 ms per operation and raised peak RSS over the per-row
-# labeller (43.4 MB) by 1.6 %, 4.0 % and 8.2 %.
-BLOCK_ROWS = 16
+from .powerflow import BLOCK_ROWS, ds_response_batch
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -84,18 +77,12 @@ class SampleSpace:
         return self.n_pcc + 2 * self.n_dg
 
 
-def sample_space(case: NetworkCase, charts: list[PQChart] | None = None) -> SampleSpace:
-    """Sampling box of a single-DS case: PCC voltage bands and DG chart boxes.
-
-    charts overrides the case's capability charts (one per DG).
-    """
+def sample_space(case: NetworkCase) -> SampleSpace:
+    """Sampling box of a single-DS case: PCC voltage bands and DG chart boxes."""
     if len(case.pcc_map) != 1:
         raise ValueError("expected a single-DS case")
     ds_id, couplings = next(iter(case.pcc_map.items()))
-    if charts is None:
-        charts = case.charts_for(ds_id)
-    elif len(charts) != case.n_gen:
-        raise ValueError("need one chart per DG")
+    charts = case.charts_for(ds_id)
     names, lo, hi = [], [], []
     for u, (ds_bus, _) in enumerate(couplings, start=1):
         b = case.bus(ds_bus)
@@ -170,17 +157,11 @@ def chart_mask(space: SampleSpace, x: np.ndarray, tol: float = 1e-9) -> np.ndarr
     return ok
 
 
-def _eval_block(shared: dict, x: np.ndarray):
-    return ds_response_batch(shared["case"], x, shared["tables"])
+def _label_rows(shared: dict, x: np.ndarray):
+    return ds_response_batch(shared["case"], x)
 
 
-def generate_dataset(
-    case: NetworkCase,
-    n: int,
-    seed: int,
-    jobs: int | None = None,
-    charts: list[PQChart] | None = None,
-) -> Dataset:
+def generate_dataset(case: NetworkCase, n: int, seed: int, jobs: int | None = None) -> Dataset:
     """Sample n operating points and label them through the DS response.
 
     Points outside a DG chart are labeled infeasible without running a power
@@ -189,7 +170,7 @@ def generate_dataset(
     rows.
     """
     jobs = resolve_jobs(jobs)
-    space = sample_space(case, charts=charts)
+    space = sample_space(case)
     rng = np.random.default_rng(seed)
     x = lhs(n, space.x_min, space.x_max, rng)
 
@@ -200,12 +181,12 @@ def generate_dataset(
     inside = chart_mask(space, x)
     idx = np.flatnonzero(inside)
     if idx.size:
-        tables = ds_tables(case)
-        blocks = [x[idx[i : i + BLOCK_ROWS]] for i in range(0, idx.size, BLOCK_ROWS)]
-        parts = pool_map(_eval_block, blocks, jobs, case=case, tables=tables)
-        label[idx] = np.concatenate([part[0] for part in parts])
-        p_pcc[idx] = np.vstack([part[1] for part in parts])
-        q_pcc[idx] = np.vstack([part[2] for part in parts])
+        # one run of whole blocks per worker, so the blocks are those of one call
+        n_blocks = -(-idx.size // BLOCK_ROWS)
+        n_runs = min(jobs, n_blocks)
+        cuts = BLOCK_ROWS * (n_blocks * np.arange(1, n_runs) // n_runs)
+        parts = pool_map(_label_rows, np.split(x[idx], cuts), jobs, case=case)
+        label[idx], p_pcc[idx], q_pcc[idx] = map(np.concatenate, zip(*parts))
 
     meta = {
         "case": case.name,
@@ -271,8 +252,13 @@ def write_csv(path, ds: Dataset) -> None:
 
 def write_sidecar(path, meta: dict) -> None:
     """Write provenance for the artifact at ``path`` to ``<path>.meta.json``."""
-    with open(_sidecar(path), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    write_json(_sidecar(path), meta, sort_keys=True)
+
+
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    """Write one JSON artifact: one-space indent and a closing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .netmodel import CostPoly, PQChart, polygon_from_vertices
-from .sampling import Dataset
+from .sampling import Dataset, write_json
 
 F_CLAMP = 30.0  # sigmoid saturates to within 1e-13 beyond this
 FORWARD_ROWS = 128  # rows of W x + b formed at once, 1 MB at 1000 nodes
@@ -352,6 +352,16 @@ class QuadraticModel:
         return float(t[0]) if np.ndim(x) == 1 else t
 
 
+def fr_to_dict(model: PolytopeModel) -> dict:
+    """JSON form of the facets, {"W", "b"}: bundles and model files store it."""
+    return {"W": model.w.tolist(), "b": model.b.tolist()}
+
+
+def fr_from_dict(d: dict) -> PolytopeModel:
+    """Inverse of ``fr_to_dict``; the model's meta starts empty."""
+    return PolytopeModel(np.array(d["W"], float), np.array(d["b"], float))
+
+
 def pcc_to_dict(entry: dict) -> dict:
     """JSON form of one PCC's quadratics, {"p": {"A", "b", "c"}, "q": {...}}.
 
@@ -492,14 +502,43 @@ def _require_finite(value, where: str) -> np.ndarray:
     return arr
 
 
+def validate_fr_dict(fr: dict, n_x: int, where: str = "fr") -> None:
+    """Keys, shape and finite numbers of the facets; a zero row (0 <= -b) is refused."""
+    _check_keys(fr, _FR_KEYS, _FR_KEYS, where)
+    w = fr["W"]
+    _require(len(w) >= 1 and all(len(row) == n_x for row in w), f"{where}: W must be n_h x n_x")
+    _require(len(fr["b"]) == len(w), f"{where}: b length != n_h")
+    w = _require_finite(w, f"{where}.W")
+    _require_finite(fr["b"], f"{where}.b")
+    zero = np.flatnonzero(~w.any(axis=1))
+    if zero.size:
+        raise BundleSchemaError(f"{where}.W[{zero[0]}]: all-zero facet row")
+
+
+def validate_pcc_dict(entry: dict, n_x: int, where: str) -> None:
+    """Keys, shapes and finite numbers of one PCC's {"p", "q"} quadratics."""
+    _check_keys(entry, _PCC_KEYS, _PCC_KEYS, where)
+    for key in ("p", "q"):
+        qd, where_q = entry[key], f"{where}.{key}"
+        _check_keys(qd, _QUAD_KEYS, _QUAD_KEYS, where_q)
+        a = qd["A"]
+        _require(len(a) == n_x and all(len(r) == n_x for r in a), f"{where_q}: A must be n_x x n_x")
+        _require(len(qd["b"]) == n_x, f"{where_q}: b length != n_x")
+        for part in ("A", "b", "c"):
+            _require_finite(qd[part], f"{where_q}.{part}")
+
+
 def validate_bundle_dict(d: dict) -> None:
     """Whitelist schema check; raises BundleSchemaError on any foreign field.
 
-    Every number must be finite and the box nonempty, so a corrupt bundle is
-    refused here instead of surfacing as an infeasible coupled solve.
+    Every number must be finite, every count an integer, every facet row
+    nonzero and the box nonempty: a corrupt bundle is refused here, not
+    reported later as an infeasible coupled solve.
     """
     _check_keys(d, _BUNDLE_KEYS, _BUNDLE_KEYS - {"charts"}, "bundle")
-    n_pcc, n_dg = int(d["n_pcc"]), int(d["n_dg"])
+    for key in ("ds_id", "n_pcc", "n_dg"):
+        _require(type(d[key]) is int, f"{key}: expected an integer")
+    n_pcc, n_dg = d["n_pcc"], d["n_dg"]
     n_x = n_pcc + 2 * n_dg
     _require(n_pcc >= 1 and n_dg >= 0, "bundle: bad counts")
     _require(len(d["x_min"]) == n_x and len(d["x_max"]) == n_x, "bundle: x bounds length != n_x")
@@ -508,26 +547,10 @@ def validate_bundle_dict(d: dict) -> None:
     empty = np.flatnonzero(x_min >= x_max)
     if empty.size:
         raise BundleSchemaError(f"x_min: x_min[{empty[0]}] >= x_max[{empty[0]}]")
-    _check_keys(d["fr"], _FR_KEYS, _FR_KEYS, "fr")
-    w = d["fr"]["W"]
-    _require(len(w) >= 1 and all(len(row) == n_x for row in w), "fr: W must be n_h x n_x")
-    _require(len(d["fr"]["b"]) == len(w), "fr: b length != n_h")
-    _require_finite(w, "fr.W")
-    _require_finite(d["fr"]["b"], "fr.b")
+    validate_fr_dict(d["fr"], n_x)
     _require(len(d["pcc"]) == n_pcc, "pcc: one entry per PCC required")
     for u, entry in enumerate(d["pcc"]):
-        _check_keys(entry, _PCC_KEYS, _PCC_KEYS, f"pcc[{u}]")
-        for key in ("p", "q"):
-            qd = entry[key]
-            _check_keys(qd, _QUAD_KEYS, _QUAD_KEYS, f"pcc[{u}].{key}")
-            a = qd["A"]
-            _require(
-                len(a) == n_x and all(len(row) == n_x for row in a),
-                f"pcc[{u}].{key}: A must be n_x x n_x",
-            )
-            _require(len(qd["b"]) == n_x, f"pcc[{u}].{key}: b length != n_x")
-            for part in ("A", "b", "c"):
-                _require_finite(qd[part], f"pcc[{u}].{key}.{part}")
+        validate_pcc_dict(entry, n_x, f"pcc[{u}]")
     if "charts" in d:
         _require(len(d["charts"]) in (0, n_dg), "charts: need one vertex list per DG")
         for k, verts in enumerate(d["charts"]):
@@ -549,22 +572,20 @@ def export_bundle(bundle: SurrogateBundle, path) -> None:
         "n_dg": bundle.n_dg,
         "x_min": list(map(float, bundle.x_min)),
         "x_max": list(map(float, bundle.x_max)),
-        "fr": {"W": bundle.fr.w.tolist(), "b": bundle.fr.b.tolist()},
+        "fr": fr_to_dict(bundle.fr),
         "pcc": [pcc_to_dict(entry) for entry in bundle.pcc],
         "charts": [[list(v) for v in chart.vertices] for chart in bundle.charts],
         "costs": [{"a": c.a, "b": c.b, "c": c.c} for c in bundle.costs],
     }
     validate_bundle_dict(json.loads(json.dumps(d)))
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+    write_json(path, d)
 
 
 def import_bundle(path) -> SurrogateBundle:
     with open(path) as fh:
         d = json.load(fh)
     validate_bundle_dict(d)
-    fr = PolytopeModel(np.array(d["fr"]["W"], float), np.array(d["fr"]["b"], float))
+    fr = fr_from_dict(d["fr"])
     pcc = [pcc_from_dict(entry, u) for u, entry in enumerate(d["pcc"])]
     charts = [polygon_from_vertices(v) for v in d.get("charts", [])]
     costs = [CostPoly(c["a"], c["b"], c["c"]) for c in d["costs"]]

@@ -14,7 +14,7 @@ from gridveil.acopf import (
     solve_nlp,
     solve_standard,
 )
-from gridveil.netmodel import CostPoly, branch_admittances, polygon_from_vertices
+from gridveil.netmodel import CostPoly, polygon_from_vertices
 from gridveil.powerflow import newton_pf
 
 from oracles import (
@@ -50,11 +50,10 @@ def test_slack_angle_pinned(toy3):
 @pytest.mark.parametrize("name", ["ts30", "ds1", "ds2", "ds3", "ieee33", "integrated"])
 def test_branch_rows_are_rated_admittance_rows(name, request):
     case = request.getfixturevalue(name)
-    yf, yt, fidx, tidx = branch_admittances(case)
-    rated = np.array([bool(br.status) and br.s_max > 0 for br in case.branches])
+    yb, cidx = stamp_branch_rows(case)
     rows = BranchSet(case)
-    assert np.array_equal(_expand(rows, rows.y), np.vstack([yf[rated], yt[rated]]))
-    assert np.array_equal(rows.bus[:, 0], np.concatenate([fidx[rated], tidx[rated]]))
+    assert np.array_equal(_expand(rows, rows.y), yb)
+    assert np.array_equal(rows.bus[:, 0], cidx)
 
 
 def _expand(rows, pairs):

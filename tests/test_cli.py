@@ -123,6 +123,30 @@ def test_trained_artifacts_carry_provenance(tiny_artifacts):
     assert side["case_hash"] == bundled_case("ds1").text_hash()
 
 
+@pytest.mark.parametrize(
+    "kind, mutate, field",
+    [
+        ("pq", lambda d: d["models"][0]["p"].pop("A"), "models[0].p: missing field(s) ['A']"),
+        ("pq", lambda d: d["models"][0]["q"].update(c=float("nan")), "models[0].q.c: non-finite"),
+        ("fr", lambda d: d["W"].__setitem__(1, [0.0] * len(d["W"][1])), "fr.W[1]: all-zero facet row"),
+        ("fr", lambda d: d["b"].__setitem__(0, float("inf")), "fr.b: non-finite"),
+        ("fr", lambda d: d.pop("b"), "fr: missing field(s) ['b']"),
+    ],
+)
+def test_bundle_names_the_bad_field_of_a_model_file(
+    tiny_artifacts, tmp_path, capsys, kind, mutate, field
+):
+    d = json.loads(tiny_artifacts[kind].read_text())
+    mutate(d)
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(d))
+    files = {"fr": str(tiny_artifacts["fr"]), "pq": str(tiny_artifacts["pq"]), kind: str(bad)}
+    code = run(["bundle", "--case", "ds1", "--fr", files["fr"], "--pq", files["pq"],
+                "--out", str(tmp_path / "b.json")])
+    assert code == 2
+    assert f"{bad}: {field}" in capsys.readouterr().err
+
+
 def test_bundle_rejects_duplicate_ds(tiny_artifacts, tmp_path, capsys):
     b = str(tiny_artifacts["bundle"])
     code = run(["solve", "--case", "ts30", "--mode", "pp",

@@ -16,7 +16,7 @@ from gridveil.netmodel import (
     serialize_case,
 )
 
-from oracles import crossing_contains, stamp_ybus
+from oracles import crossing_contains, stamp_branch_rows, stamp_ybus
 
 def _inside(chart, p, q, tol=1e-9):
     return float(np.max(chart.a_pq @ np.array([p, q]) - chart.b_pq)) <= tol
@@ -111,6 +111,25 @@ def test_admittance_matches_stamping_oracle_fixtures(name, request):
     # same per-entry order of additions as the oracle, so equal to the bit
     case = request.getfixturevalue(name)
     assert np.array_equal(build_admittance(case), stamp_ybus(case))
+
+
+@pytest.mark.parametrize("name", ["ts30", "ds1", "ds2", "ds3", "ieee33", "integrated"])
+def test_end_flows_match_stamped_rows(name, request, rng):
+    case = request.getfixturevalue(name)
+    tab = case.branch_table
+    n = case.n_bus
+    v = rng.uniform(0.9, 1.1, (4, n)) * np.exp(1j * rng.uniform(-0.3, 0.3, (4, n)))
+    sf, st = tab.end_flows(v)
+    for k, vk in enumerate(v):
+        one_f, one_t = tab.end_flows(vk)
+        assert np.array_equal(one_f, sf[k]) and np.array_equal(one_t, st[k])
+    closed = np.array([bool(br.status) for br in case.branches])
+    rated = closed & np.array([br.s_max > 0 for br in case.branches])
+    assert not np.any(sf[:, ~closed]) and not np.any(st[:, ~closed])
+    yb, cidx = stamp_branch_rows(case)
+    want = v[:, cidx] * np.conj(v @ yb.T)
+    got = np.concatenate([sf[:, rated], st[:, rated]], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_replace_rebuilds_derived_tables():

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from gridveil.netmodel import parse_case
 from gridveil.powerflow import (
+    BLOCK_ROWS,
     _newton_steps,
     check_limits,
     dSbus_dV,
     ds_response,
     ds_response_batch,
-    ds_tables,
     line_flows,
     newton_pf,
 )
@@ -274,7 +274,7 @@ def test_ds_response_batch_matches_scalar_row_by_row(ds1):
 
     # the diverging row leaves the rest of its block alone
     keep = [0, 1, 3, 4, 5]
-    label_k, p_k, q_k = ds_response_batch(case, x[keep], ds_tables(case))
+    label_k, p_k, q_k = ds_response_batch(case, x[keep])
     assert np.array_equal(label_k, label[keep])
     assert np.allclose(p_k, p[keep], rtol=0, atol=1e-10, equal_nan=True)
     assert np.allclose(q_k, q[keep], rtol=0, atol=1e-10, equal_nan=True)
@@ -292,6 +292,22 @@ def test_ds_response_batch_two_pccs_matches_scalar(ds2):
         if ref.feasible:
             assert np.max(np.abs(ref.p_pcc - p[i])) <= 1e-10
             assert np.max(np.abs(ref.q_pcc - q[i])) <= 1e-10
+
+
+def test_ds_response_batch_solves_in_fixed_blocks(ds3):
+    # the last block holds one row, which BLAS multiplies by its one-row kernel
+    rng = np.random.default_rng(5)
+    n = 2 * BLOCK_ROWS + 1
+    x = np.column_stack(
+        [rng.uniform(0.97, 1.03, (n, 2)), rng.uniform(0, 1.5, (n, 5)), rng.uniform(-0.5, 0.5, (n, 5))]
+    )
+    whole = ds_response_batch(ds3, x)
+    parts = [ds_response_batch(ds3, x[lo : lo + BLOCK_ROWS]) for lo in range(0, n, BLOCK_ROWS)]
+    assert [len(part[0]) for part in parts] == [BLOCK_ROWS, BLOCK_ROWS, 1]
+    for got, want in zip(whole, map(np.concatenate, zip(*parts))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert set(whole[0]) == {0, 1}
 
 
 def test_ds_response_batch_rejects_bad_shapes(ds1):

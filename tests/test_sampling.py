@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridveil.powerflow import ds_response
+from gridveil.powerflow import BLOCK_ROWS, ds_response
 from gridveil.sampling import (
-    BLOCK_ROWS,
     chart_mask,
     csv_header,
     generate_dataset,

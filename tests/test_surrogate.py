@@ -435,6 +435,8 @@ def good_dict(rng, tmp_path):
         (lambda d: d["costs"][0].update(b=float("inf")), r"costs\[0\]: non-finite"),
         (lambda d: d["costs"][0].update(a="cheap"), r"costs\[0\]: expected numbers"),
         (lambda d: d.update(x_min=d["x_max"][:1] + d["x_min"][1:]), r"x_min\[0\] >= x_max\[0\]"),
+        (lambda d: d["fr"]["W"].__setitem__(2, [0.0, 0.0, 0.0]), r"fr\.W\[2\]: all-zero facet row"),
+        (lambda d: d.update(n_dg=1.0), "n_dg: expected an integer"),
     ],
 )
 def test_bundle_schema_rejections(rng, tmp_path, mutate, msg):
@@ -442,6 +444,48 @@ def test_bundle_schema_rejections(rng, tmp_path, mutate, msg):
     mutate(d)
     with pytest.raises(BundleSchemaError, match=msg):
         validate_bundle_dict(d)
+
+
+@pytest.fixture(scope="module")
+def good_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "good.json"
+    export_bundle(small_bundle(np.random.default_rng(0)), path)
+    return path.read_text()
+
+
+def _number_paths(node, path=()):
+    """Key paths of every number in a parsed JSON document."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _number_paths(v, path + (k,))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _number_paths(v, path + (i,))]
+    return [path] if type(node) in (int, float) else []
+
+
+def _reported_field(path) -> str:
+    """The name the schema check gives the number at path."""
+    head = path[0]
+    if head == "pcc":
+        return f"pcc[{path[1]}].{path[2]}.{path[3]}"
+    if head in ("charts", "costs"):
+        return f"{head}[{path[1]}]"
+    if head == "fr":
+        return f"fr.{path[1]}"
+    return head
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_any_non_finite_number_is_refused_by_name(good_text, data, bad):
+    d = json.loads(good_text)
+    path = data.draw(st.sampled_from(_number_paths(d)))
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(BundleSchemaError) as info:
+        validate_bundle_dict(d)
+    assert _reported_field(path) in str(info.value)
 
 
 def test_import_rejects_corrupted_file(rng, tmp_path):
