@@ -75,8 +75,7 @@ def main() -> None:
         bundle_args += ["--bundle", str(bundle)]
 
     solution = out / "pp_solution.json"
-    sh("solve", "--case", "ts30", "--mode", "pp", *bundle_args,
-       "--enforce-charts", "--out", str(solution))
+    sh("solve", "--case", "ts30", "--mode", "pp", *bundle_args, "--out", str(solution))
 
     attach_args = []
     for k in plans:

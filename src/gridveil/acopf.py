@@ -306,7 +306,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         hess[np.diag_indices(nx)] += dpg
         return hess
 
-    meta = {"case": case.name, "n_bus": n, "n_gen": ng, "base_mva": base}
+    meta = {"base_mva": base}
     if "dg_map" in case.meta:
         meta["dg_gens"] = [g for ds in sorted(case.meta["dg_map"]) for g in case.meta["dg_map"][ds]]
     else:
@@ -362,6 +362,9 @@ def chart_rows(charts: list[PQChart], p_cols, q_cols, n: int, scale: float = 1.0
 # Primal-dual interior point solver
 # ---------------------------------------------------------------------------
 
+SIGMA = 0.2  # barrier reduction factor
+XI = 0.99995  # fraction-to-boundary
+
 
 @dataclass
 class NlpOptions:
@@ -370,8 +373,6 @@ class NlpOptions:
     comptol: float = 1e-6
     costtol: float = 1e-6
     max_iter: int = 200
-    sigma: float = 0.2  # barrier reduction factor
-    xi: float = 0.99995  # fraction-to-boundary
 
 
 @dataclass
@@ -533,9 +534,9 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
             dmu = -mu + zinv * (gamma - mu * dz)
             kz = dz < 0
-            alphap = min(1.0, opts.xi * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
+            alphap = min(1.0, XI * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
             km = dmu < 0
-            alphad = min(1.0, opts.xi * np.min(mu[km] / -dmu[km])) if np.any(km) else 1.0
+            alphad = min(1.0, XI * np.min(mu[km] / -dmu[km])) if np.any(km) else 1.0
         else:
             dz = dmu = None
             alphap = alphad = 1.0
@@ -549,7 +550,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         f, df = problem.objective(x)
         g, jg, h, jh = evaluate(x)
         if niq:
-            gamma = opts.sigma * (z @ mu) / niq
+            gamma = SIGMA * (z @ mu) / niq
         lx, feascond, gradcond, compcond = residuals(f, df, g, h, jg, jh, lam, mu, x, z)
         costcond = abs(f - f_prev) / (1 + abs(f_prev))
         f_prev = f

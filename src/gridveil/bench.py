@@ -84,7 +84,6 @@ def _run_trial(
     ts_case: NetworkCase,
     bundles: dict[int, SurrogateBundle],
     charts_std: list,
-    charts_enforced: bool,
     opts: NlpOptions | None,
 ) -> TrialRecord:
     dg_map = integrated.meta["dg_map"]
@@ -106,7 +105,7 @@ def _run_trial(
         if std.optimal:
             std_obj = float(std.objective)
 
-        pp = solve_pp(assemble_pp(ts_t, bundles_t, charts_enforced=charts_enforced), opts)
+        pp = solve_pp(assemble_pp(ts_t, bundles_t), opts)
         statuses["pp"] = pp.status
         pp_time = pp.solve_time
         if pp.optimal:
@@ -147,7 +146,6 @@ def run_benchmark(
     n_trials: int,
     seed: int,
     opts: NlpOptions | None = None,
-    charts_enforced: bool = True,
     jobs: int | None = None,
 ) -> BenchReport:
     """Paired cost trials over the integrated network and its surrogate twin.
@@ -170,7 +168,6 @@ def run_benchmark(
         ts_case=ts_case,
         bundles=bundles,
         charts_std=charts_std,
-        charts_enforced=charts_enforced,
         opts=opts,
     )
     trials.sort(key=lambda t: t.trial_id)
@@ -180,7 +177,6 @@ def run_benchmark(
         "seed": seed,
         "integrated_case": integrated_case.name,
         "ts_case": ts_case.name,
-        "charts_enforced": bool(charts_enforced),
         "cost_ranges": [list(COST_A_RANGE), list(COST_B_RANGE)],
     }
     return BenchReport(trials=trials, summary=summarize(trials), meta=meta)

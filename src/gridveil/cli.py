@@ -80,15 +80,6 @@ def _opts(ns) -> NlpOptions | None:
     return NlpOptions(max_iter=ns.max_iter)
 
 
-def _default_charts(case: NetworkCase):
-    """Capability polygons for every DG the case knows about."""
-    if "dg_map" in case.meta:
-        return case.all_dg_charts()
-    if case.pcc_map:
-        return case.charts_for(next(iter(case.pcc_map)))
-    return []
-
-
 # ---------------------------------------------------------------- artifacts
 
 def save_fr_model(model: PolytopeModel, path, extra_meta: dict | None = None) -> None:
@@ -266,7 +257,6 @@ def _cmd_bundle(ns, command: str) -> int:
             raise UsageError(f"expected 1 or {case.n_gen} --dg-cost values, got {len(costs)}")
     else:
         costs = [g.cost for g in case.generators]
-    charts = case.charts_for(ds_id) if case.dg_charts else []
     bundle = SurrogateBundle(
         ds_id=ds_id,
         n_pcc=space.n_pcc,
@@ -275,7 +265,7 @@ def _cmd_bundle(ns, command: str) -> int:
         x_max=space.x_max,
         fr=fr,
         pcc=pcc,
-        charts=list(charts),
+        charts=case.all_dg_charts(),
         costs=costs,
     )
     export_bundle(bundle, ns.out)
@@ -301,13 +291,11 @@ def _cmd_solve(ns, command: str) -> int:
     if ns.mode == "pp":
         if ns.attach:
             raise UsageError("--attach only applies to --mode standard")
-        problem = assemble_pp(case, _load_bundles(ns.bundle), charts_enforced=ns.enforce_charts)
-        sol = solve_pp(problem, _opts(ns))
+        sol = solve_pp(assemble_pp(case, _load_bundles(ns.bundle)), _opts(ns))
     else:
         if ns.attach:
             case = build_integrated(case, [_case(t) for t in ns.attach])
-        charts = _default_charts(case) if ns.enforce_charts else None
-        sol = solve_standard(case, _opts(ns), charts=charts)
+        sol = solve_standard(case, _opts(ns), charts=case.all_dg_charts())
     _print_solution(sol)
     if ns.out:
         save_solution(sol, ns.out, command, case.name, ns.mode)
@@ -366,7 +354,6 @@ def _cmd_bench(ns, command: str) -> int:
         n_trials=ns.trials,
         seed=ns.seed,
         opts=_opts(ns),
-        charts_enforced=ns.enforce_charts,
         jobs=ns.jobs,
     )
     report_to_json(rep, ns.out, command=command)
@@ -457,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--attach", action="append", default=None, help="DS case to merge (standard mode)"
     )
-    p.add_argument("--enforce-charts", action="store_true")
     p.add_argument("--out", default=None, help="solution JSON")
     iter_arg(p)
     p.set_defaults(func=_cmd_solve)
@@ -480,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--hist", default=None, help="histogram CSV")
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--no-charts", dest="enforce_charts", action="store_false")
     iter_arg(p)
     jobs_arg(p)
     p.set_defaults(func=_cmd_bench)

@@ -114,10 +114,6 @@ class PQChart:
         object.__setattr__(self, "b_pq", b)
         object.__setattr__(self, "box", box)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
 
 def _facets_ccw(vertices):
     pts = np.asarray(vertices, dtype=float)
@@ -226,13 +222,22 @@ class NetworkCase:
         return out
 
     def all_dg_charts(self) -> list[PQChart]:
-        """Charts of every DG of an integrated case, DS by DS in ascending id.
+        """The charts that bind this case's DGs in an OPF.
 
-        This is the order of the standard OPF's DG columns (``dg_gens``), as
-        ``assemble_polygon_extension`` expects.
+        None when the case declares no chart.  Otherwise one per DG, the
+        rectangle of its generator box where it has no chart of its own: for
+        an integrated case DS by DS in ascending id, the order of the standard
+        OPF's DG columns (``dg_gens``); for a single-DS case its generators.
+        A case with any other number of PCC blocks, a TS alone, has no DGs.
         """
-        dg_map = self.meta["dg_map"]
-        return [c for ds in sorted(dg_map) for c in self.charts_for(ds, dg_map[ds])]
+        if not self.dg_charts:
+            return []
+        if "dg_map" in self.meta:
+            dg_map = self.meta["dg_map"]
+            return [c for ds in sorted(dg_map) for c in self.charts_for(ds, dg_map[ds])]
+        if len(self.pcc_map) == 1:
+            return self.charts_for(next(iter(self.pcc_map)))
+        return []
 
     def text_hash(self) -> str:
         return hashlib.sha256(serialize_case(self).encode()).hexdigest()[:16]
@@ -330,6 +335,23 @@ def build_admittance(case: NetworkCase) -> np.ndarray:
 _BUS_FIELDS = 8
 _BRANCH_FIELDS = 8
 _GEN_FIELDS = 8
+_BUS_NUMBERS = ("v_min", "v_max", "theta_min", "theta_max", "p_d", "q_d")
+_BRANCH_NUMBERS = ("r", "x", "b_sh", "tap", "s_max")
+_GEN_NUMBERS = ("p_min", "p_max", "q_min", "q_max", "cost_a", "cost_b", "cost_c")
+
+
+def _numbers(tokens: list[str], names) -> list[float]:
+    """The real numbers of one case row; a bad or non-finite one is named."""
+    out = []
+    for tok, name in zip(tokens, names):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValueError(f"{name}: not a number: {tok!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {tok!r}")
+        out.append(value)
+    return out
 
 
 def parse_case(text: str, name: str = "case") -> NetworkCase:
@@ -353,7 +375,9 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
             if kw == "case":
                 case_name = args[0]
             elif kw == "base":
-                base_mva = float(args[0])
+                (base_mva,) = _numbers([args[0]], ["base"])
+                if base_mva <= 0:
+                    raise ValueError(f"base must be > 0, got {args[0]!r}")
             elif kw == "bus":
                 if len(args) != _BUS_FIELDS:
                     raise ValueError(f"expected {_BUS_FIELDS} bus fields")
@@ -361,55 +385,23 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
                 if bid in seen_bus_ids:
                     raise ValueError(f"duplicate bus id {bid}")
                 seen_bus_ids.add(bid)
-                buses.append(
-                    Bus(
-                        id=bid,
-                        kind=args[1],
-                        v_min=float(args[2]),
-                        v_max=float(args[3]),
-                        theta_min=float(args[4]),
-                        theta_max=float(args[5]),
-                        p_d=float(args[6]),
-                        q_d=float(args[7]),
-                    )
-                )
+                buses.append(Bus(bid, args[1], *_numbers(args[2:], _BUS_NUMBERS)))
             elif kw == "branch":
                 if len(args) != _BRANCH_FIELDS:
                     raise ValueError(f"expected {_BRANCH_FIELDS} branch fields")
-                branches.append(
-                    (
-                        lineno,
-                        Branch(
-                            from_bus=int(args[0]),
-                            to_bus=int(args[1]),
-                            r=float(args[2]),
-                            x=float(args[3]),
-                            b_sh=float(args[4]),
-                            tap=float(args[5]),
-                            s_max=float(args[6]),
-                            status=int(args[7]),
-                        ),
-                    )
-                )
+                nums = _numbers(args[2:7], _BRANCH_NUMBERS)
+                branches.append((lineno, Branch(int(args[0]), int(args[1]), *nums, int(args[7]))))
             elif kw == "gen":
                 if len(args) != _GEN_FIELDS:
                     raise ValueError(f"expected {_GEN_FIELDS} gen fields")
+                p_min, p_max, q_min, q_max, a, b, c = _numbers(args[1:], _GEN_NUMBERS)
                 gens.append(
-                    (
-                        lineno,
-                        Generator(
-                            bus=int(args[0]),
-                            p_min=float(args[1]),
-                            p_max=float(args[2]),
-                            q_min=float(args[3]),
-                            q_max=float(args[4]),
-                            cost=CostPoly(float(args[5]), float(args[6]), float(args[7])),
-                        ),
-                    )
+                    (lineno, Generator(int(args[0]), p_min, p_max, q_min, q_max, CostPoly(a, b, c)))
                 )
             elif kw == "dgchart":
                 ds_id, dg_id = int(args[0]), int(args[1])
-                vals = [float(v) for v in args[2:]]
+                names = [f"{'pq'[i % 2]}{i // 2 + 1}" for i in range(len(args) - 2)]
+                vals = _numbers(args[2:], names)
                 if len(vals) < 6 or len(vals) % 2:
                     raise ValueError("dgchart needs >=3 (p, q) vertex pairs")
                 chart_rows.append((lineno, ds_id, dg_id, vals))

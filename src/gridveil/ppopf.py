@@ -12,7 +12,7 @@ touches comes from the transmission case and the SurrogateBundle files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .acopf import (
     assemble_standard,
     chart_rows,
     solve_nlp,
-    solve_standard,
 )
 from .netmodel import NetworkCase
 from .powerflow import LimitReport, check_limits, line_flows
@@ -36,7 +35,7 @@ VERIFY_TOL = 1e-5  # limit tolerance at the verified point, above the re-solve's
 def assemble_pp(
     ts_case: NetworkCase,
     bundles: dict[int, SurrogateBundle],
-    charts_enforced: bool = False,
+    charts_enforced: bool = True,
 ) -> NlpProblem:
     """Build the surrogate-coupled OPF: the TS's standard OPF plus an extension.
 
@@ -196,33 +195,6 @@ class VerificationReport:
     iterations: int = 0  # of the re-solve
 
 
-def _split_limit_report(case: NetworkCase, rep: LimitReport) -> dict:
-    """Attribute limit violations to the TS or the owning DS."""
-    owner_of_bus: dict[int, int] = {}
-    for ds, own in case.meta.get("ds_buses", {}).items():
-        for b in own:
-            owner_of_bus[b] = ds
-    branch_ds = case.meta.get("branch_ds", [None] * len(case.branches))
-    domains: dict = {"ts": {"v": [], "flow": []}}
-    for ds in case.meta.get("ds_buses", {}):
-        domains[ds] = {"v": [], "flow": []}
-    for row in rep.v_violations:
-        domains.get(owner_of_bus.get(row[0], "ts"), domains["ts"])["v"].append(row)
-    for row in rep.flow_violations:
-        owner = branch_ds[row[0]] if row[0] < len(branch_ds) else None
-        domains.get(owner if owner is not None else "ts", domains["ts"])["flow"].append(row)
-    out = {}
-    for dom, parts in domains.items():
-        out[dom] = LimitReport(
-            ok=not parts["v"] and not parts["flow"],
-            v_violations=tuple(parts["v"]),
-            flow_violations=tuple(parts["flow"]),
-            max_v_err=max((max(lo - v, v - hi) for _, v, lo, hi in parts["v"]), default=0.0),
-            max_flow_ratio=max((s / cap for _, s, cap in parts["flow"]), default=0.0),
-        )
-    return out
-
-
 def verify_dispatch(
     integrated_case: NetworkCase,
     pp_solution: OpfSolution,
@@ -231,19 +203,28 @@ def verify_dispatch(
 ) -> VerificationReport:
     """Check a PP dispatch against the full network it was meant for.
 
-    Every DG is pinned to its PP setpoint (bounds collapsed to the point) and
-    the standard formulation is re-solved over what remains, so transmission
-    generators may re-balance the regression error.  Feasibility of the PP
-    dispatch means that re-solve succeeds; its objective is the defensible
-    cost of the dispatch.
+    Every DG setpoint is first held against the chart that binds it on the
+    integrated case (``all_dg_charts``); one outside its chart fails by name,
+    with no re-solve.  Otherwise the DG columns of the integrated case's
+    standard OPF are pinned to their setpoints (lb == ub) and the rest is
+    re-solved, so transmission generators may re-balance the regression
+    error.  Feasibility of the PP dispatch means that re-solve succeeds
+    within every limit; its objective is the defensible cost of the dispatch.
     """
     if not pp_solution.optimal:
         raise ValueError("pp solution is not optimal")
-    dg_map = integrated_case.meta.get("dg_map")
+    case = integrated_case
+    dg_map = case.meta.get("dg_map")
     if not dg_map:
         raise ValueError("integrated case lacks DG ownership metadata")
+    raw = float(pp_solution.objective)
+    nan = float("nan")
 
-    gens = list(integrated_case.generators)
+    problem = assemble_standard(case)
+    pg, qg = problem.var_slices["pg"].start, problem.var_slices["qg"].start
+    chart_of = dict(zip(problem.meta["dg_gens"], case.all_dg_charts()))
+    base = case.base_mva
+    breaches = []
     for ds, gidx in dg_map.items():
         xj = pp_solution.x_ds[ds]
         r = bundles[ds].n_pcc
@@ -252,55 +233,69 @@ def verify_dispatch(
             raise ValueError(f"DS {ds}: {len(gidx)} DGs in case, bundle has {n_dg}")
         for k, g in enumerate(gidx):
             p, q = float(xj[r + k]), float(xj[r + n_dg + k])
-            gens[g] = replace(gens[g], p_min=p, p_max=p, q_min=q, q_max=q)
-    pinned = replace(integrated_case, generators=gens)
+            chart = chart_of.get(g)
+            excess = np.max(chart.a_pq @ (p, q) - chart.b_pq) if chart else 0.0
+            if excess > VERIFY_TOL:
+                breaches.append(
+                    f"DS {ds} DG {k + 1} setpoint ({p:.6g} MW, {q:.6g} MVAr) "
+                    f"lies {excess:.3g} MW/MVAr outside its chart"
+                )
+            problem.lb[pg + g] = problem.ub[pg + g] = p / base
+            problem.lb[qg + g] = problem.ub[qg + g] = q / base
+    if breaches:
+        return VerificationReport(False, {}, nan, raw, nan, message="; ".join(breaches))
 
-    charts = integrated_case.all_dg_charts() if integrated_case.dg_charts else None
-    sol = solve_standard(pinned, opts, charts)
-
-    raw = float(pp_solution.objective)
+    sol = solve_nlp(problem, opts)
     if not sol.optimal:
         return VerificationReport(
-            feasible_true=False,
-            violations={},
-            verified_cost=float("nan"),
-            raw_cost=raw,
-            pcc_flow_error=float("nan"),
+            False,
+            {},
+            nan,
+            raw,
+            nan,
             message=f"re-solve {sol.status}: {sol.message}",
             solve_time=sol.solve_time,
             iterations=sol.iterations,
         )
 
+    # limit violations, attributed to the TS (-1) or the DS that owns them
     v = sol.v * np.exp(1j * sol.theta)
-    rep = check_limits(pinned, v, tol=VERIFY_TOL)
-    split = _split_limit_report(pinned, rep)
+    rep = check_limits(case, v, tol=VERIFY_TOL)
+    bus_ds = {b: ds for ds, own in case.meta["ds_buses"].items() for b in own}
+    branch_ds = np.array([-1 if d is None else d for d in case.meta["branch_ds"]])
+    violations = {}
+    for dom in ("ts", *case.meta["ds_buses"]):
+        key = -1 if dom == "ts" else dom
+        v_rows = tuple(row for row in rep.v_violations if bus_ds.get(row[0], -1) == key)
+        flow_rows = tuple(row for row in rep.flow_violations if branch_ds[row[0]] == key)
+        violations[dom] = LimitReport(
+            ok=not v_rows and not flow_rows,
+            v_violations=v_rows,
+            flow_violations=flow_rows,
+            max_v_err=max((max(lo - vm, vm - hi) for _, vm, lo, hi in v_rows), default=0.0),
+            max_flow_ratio=max((s / cap for _, s, cap in flow_rows), default=0.0),
+        )
 
     # regression error at the verified operating point: re-evaluate each
     # bundle at (re-solved PCC voltages, pinned DG setpoints)
-    sf, st = line_flows(pinned, v)
-    tab = pinned.branch_table
-    branch_ds = np.array([-1 if d is None else d for d in pinned.meta["branch_ds"]])
-    base = pinned.base_mva
+    sf, st = line_flows(case, v)
+    tab = case.branch_table
     err = 0.0
     for ds in dg_map:
         bundle = bundles[ds]
-        ts_buses = tuple(t for _, t in pinned.pcc_map[ds])
+        pcc = [case.bus_index(t) for _, t in case.pcc_map[ds]]
         xj = pp_solution.x_ds[ds].copy()
-        for u, bus in enumerate(ts_buses):
-            xj[u] = abs(v[pinned.bus_index(bus)])
+        xj[: len(pcc)] = np.abs(v[pcc])
         own = tab.closed & (branch_ds == ds)
-        for u, bus in enumerate(ts_buses):
-            i = pinned.bus_index(bus)
-            into_ds = sf[own & (tab.f == i)].sum() + st[own & (tab.t == i)].sum()
-            # consumption seen from the TS, per unit
-            t_actual_p = into_ds.real / base
-            t_actual_q = into_ds.imag / base
-            err = max(err, abs(bundle.pcc[u]["p"].predict(xj) - t_actual_p) * base)
-            err = max(err, abs(bundle.pcc[u]["q"].predict(xj) - t_actual_q) * base)
+        for u, i in enumerate(pcc):
+            # consumption seen from the TS, per unit as the regressions give it
+            into_ds = (sf[own & (tab.f == i)].sum() + st[own & (tab.t == i)].sum()) / base
+            err = max(err, abs(bundle.pcc[u]["p"].predict(xj) - into_ds.real) * base)
+            err = max(err, abs(bundle.pcc[u]["q"].predict(xj) - into_ds.imag) * base)
 
     return VerificationReport(
-        feasible_true=all(r.ok for r in split.values()),
-        violations=split,
+        feasible_true=all(r.ok for r in violations.values()),
+        violations=violations,
         verified_cost=float(sol.objective),
         raw_cost=raw,
         pcc_flow_error=float(err),

@@ -147,13 +147,13 @@ class Dataset:
         )
 
 
-def chart_mask(space: SampleSpace, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def chart_mask(space: SampleSpace, x: np.ndarray) -> np.ndarray:
     """True where every DG setpoint lies inside its capability chart."""
     ok = np.ones(len(x), dtype=bool)
     r = space.n_pcc
     for k, chart in enumerate(space.charts):
         pq = x[:, [r + k, r + space.n_dg + k]]
-        ok &= np.all(pq @ chart.a_pq.T - chart.b_pq <= tol, axis=1)
+        ok &= np.all(pq @ chart.a_pq.T - chart.b_pq <= 1e-9, axis=1)
     return ok
 
 

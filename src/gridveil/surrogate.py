@@ -262,14 +262,14 @@ class ClassMetrics:
     fp_infeasible: int
 
 
-def classification_metrics(model: PolytopeModel, test: Dataset, tol: float = 0.0) -> ClassMetrics:
+def classification_metrics(model: PolytopeModel, test: Dataset) -> ClassMetrics:
     """Accuracy, recall (feasible class), specificity (infeasible class).
 
     Specificity is the safety-critical number: an infeasible point classified
     feasible would be handed to the market as usable flexibility.  Empty
     classes yield None rather than 0.
     """
-    pred = classify(model, test.x, tol)
+    pred = classify(model, test.x)
     truth = test.label
     tp = int(np.sum((truth == 0) & (pred == 0)))
     fn = int(np.sum((truth == 0) & (pred == 1)))

@@ -110,7 +110,6 @@ def test_meta_records_the_run(report2):
     assert report2.meta["n_trials"] == 2
     assert report2.meta["seed"] == 77
     assert report2.meta["integrated_case"] == "ts30+ds1+ds2+ds3"
-    assert report2.meta["charts_enforced"] is True
 
 
 # ---------------------------------------------------------------- summarize

@@ -27,8 +27,7 @@ def bundle_files(quick_bundles, tmp_path_factory):
 @pytest.fixture(scope="module")
 def pp_solution_file(bundle_files, tmp_path_factory):
     out = tmp_path_factory.mktemp("sol") / "pp.json"
-    args = ["solve", "--case", "ts30", "--mode", "pp", "--enforce-charts",
-            "--out", str(out)]
+    args = ["solve", "--case", "ts30", "--mode", "pp", "--out", str(out)]
     for b in bundle_files:
         args += ["--bundle", b]
     assert run(args) == 0
@@ -199,6 +198,23 @@ def test_solve_pp_and_verify(pp_solution_file, bundle_files, capsys, tmp_path):
     assert rep["feasible_true"] is True
     assert rep["verified_cost"] > 0
     assert rep["pcc_flow_error"] < 1.0
+
+
+def test_verify_names_a_dg_outside_its_chart(pp_solution_file, bundle_files, tmp_path, capsys):
+    sol = json.loads(Path(pp_solution_file).read_text())
+    r = len(bundled_case("ds3").pcc_map[3])  # x_3[r] is the p of its first DG
+    sol["x_ds"]["3"][r] += 50.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(sol))
+    args = ["verify", "--ts", "ts30", "--solution", str(bad)]
+    for ds in ("ds1", "ds2", "ds3"):
+        args += ["--attach", ds]
+    for b in bundle_files:
+        args += ["--bundle", b]
+    assert run(args) == 2
+    out = capsys.readouterr().out
+    assert "infeasible" in out and "DS 3 DG 1" in out
+    assert "KKT" not in out
 
 
 def test_verify_rejects_standard_solution(tmp_path, bundle_files, capsys):

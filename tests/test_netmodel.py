@@ -1,8 +1,11 @@
 import dataclasses
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridveil.netmodel import (
     CaseFormatError,
@@ -84,6 +87,57 @@ def test_branch_status_other_than_0_or_1_rejected(ds1):
     lines[k] = lines[k].rsplit(" ", 1)[0] + " 2"
     with pytest.raises(CaseFormatError, match=f"line {k + 1}: .*status must be 0 or 1"):
         parse_case("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("base 100", "base nan", "base must be finite, got 'nan'"),
+        ("base 100", "base 0", "base must be > 0, got '0'"),
+        ("base 100", "base -5", "base must be > 0, got '-5'"),
+        ("branch 1 2 0 ", "branch 1 2 nan ", "r must be finite, got 'nan'"),
+        ("branch 1 2 0 ", "branch 1 2 inf ", "r must be finite, got 'inf'"),
+        ("gen 1 0 ", "gen 1 nan ", "p_min must be finite, got 'nan'"),
+        ("10 0 1 0\n", "10 nan 1 0\n", "cost_a must be finite, got 'nan'"),
+        ("10 0 1 0\n", "10 inf 1 0\n", "cost_a must be finite, got 'inf'"),
+        ("0 0.1 0 1", "0 0.1x 0 1", "x: not a number: '0.1x'"),
+    ],
+)
+def test_bad_numbers_rejected_by_field(old, new, message):
+    lineno = TWO_BUS[: TWO_BUS.index(old)].count("\n") + 1
+    with pytest.raises(CaseFormatError, match=f"^line {lineno}: {message}$"):
+        parse_case(TWO_BUS.replace(old, new, 1))
+
+
+@lru_cache
+def _numeric_tokens(name: str):
+    """The serialised lines of a bundled case, and (line, token) of every number."""
+    lines = serialize_case(bundled_case(name)).splitlines()
+    spots = []
+    for i, line in enumerate(lines):
+        for j, tok in enumerate(line.split()[1:], start=1):
+            try:
+                float(tok)
+            except ValueError:
+                continue
+            spots.append((i, j))
+    return lines, spots
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["ds1", "ds2", "ds3", "ts30", "ieee33"]),
+    pick=st.integers(min_value=0),
+    bad=st.sampled_from(["nan", "inf", "-inf"]),
+)
+def test_any_non_finite_number_fails_on_its_line(name, pick, bad):
+    lines, spots = _numeric_tokens(name)
+    i, j = spots[pick % len(spots)]
+    tokens = lines[i].split()
+    tokens[j] = bad
+    text = "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1 :]) + "\n"
+    with pytest.raises(CaseFormatError, match=f"^line {i + 1}: "):
+        parse_case(text)
 
 
 def test_build_integrated_names_unknown_ts_bus(ts30, ds1):
@@ -279,6 +333,22 @@ def test_charts_for_fills_rectangles(ds1):
     (chart,) = ds1.charts_for(1)
     g = ds1.generators[0]
     assert chart.box == (g.p_min, g.p_max, g.q_min, g.q_max)
+
+
+def test_all_dg_charts_binds_declared_charts_only(integrated, ds1, ds2, ds3, ts30):
+    assert ds1.all_dg_charts() == [] and ds2.all_dg_charts() == []  # no chart declared
+    assert len(ts30.pcc_map) == 3 and ts30.all_dg_charts() == []
+    assert ds3.all_dg_charts() == [ds3.dg_charts[(3, k)] for k in range(1, 6)]
+
+    charts = integrated.all_dg_charts()
+    assert len(charts) == 11 and sum(len(c.b_pq) for c in charts) == 64
+    dg_map = integrated.meta["dg_map"]
+    boxes = [
+        rectangle_chart(g.p_min, g.p_max, g.q_min, g.q_max)
+        for ds in (1, 2)
+        for g in (integrated.generators[i] for i in dg_map[ds])
+    ]
+    assert charts == boxes + ds3.all_dg_charts()
 
 
 def test_serialized_format_is_frozen():

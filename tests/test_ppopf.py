@@ -57,7 +57,7 @@ def test_variable_and_row_layout(problem, ts30, quick_bundles):
     h, _ = problem.ineq(problem.x0)
     n_facets = sum(b.fr.n_h for b in quick_bundles.values())
     n_chart_rows = sum(
-        chart.n_vertices for b in quick_bundles.values() for chart in b.charts
+        len(chart.vertices) for b in quick_bundles.values() for chart in b.charts
     )
     n_flow_rows = 2 * sum(1 for br in ts30.branches if br.s_max > 0 and br.status)
     assert len(h) == n_flow_rows + n_facets + n_chart_rows
@@ -357,6 +357,33 @@ def test_verify_catches_out_of_chart_dispatch(integrated, pp_sol, quick_bundles)
     corrupted.x_ds[3][r] = 2.0 * b3.x_max[r] + 5.0
     rep = verify_dispatch(integrated, corrupted, quick_bundles)
     assert not rep.feasible_true
+    assert "DS 3 DG 1 " in rep.message and "outside its chart" in rep.message
+    assert rep.iterations == 0  # named before any re-solve
+
+
+def test_verify_pins_dg_columns_of_the_standard_opf(integrated, pp_sol, quick_bundles, monkeypatch):
+    seen = []
+
+    def capture(problem, opts=None):
+        seen.append(problem)
+        return solve_nlp(problem, opts)
+
+    monkeypatch.setattr(ppopf_module, "solve_nlp", capture)
+    assert verify_dispatch(integrated, pp_sol, quick_bundles).feasible_true
+    (problem,) = seen
+    assert problem.a_lin.shape[0] == 0  # chart rows would touch pinned columns only
+
+    std = assemble_standard(integrated)
+    pg, qg = std.var_slices["pg"].start, std.var_slices["qg"].start
+    pinned = np.zeros(std.n, dtype=bool)
+    for ds, gidx in integrated.meta["dg_map"].items():
+        b, xj = quick_bundles[ds], pp_sol.x_ds[ds]
+        for k, g in enumerate(gidx):
+            for col, setpoint in ((pg + g, xj[b.n_pcc + k]), (qg + g, xj[b.n_pcc + b.n_dg + k])):
+                assert problem.lb[col] == problem.ub[col] == setpoint / integrated.base_mva
+                pinned[col] = True
+    assert np.array_equal(problem.lb[~pinned], std.lb[~pinned])
+    assert np.array_equal(problem.ub[~pinned], std.ub[~pinned])
 
 
 def test_verify_requires_optimal_input(integrated, pp_sol, quick_bundles):
