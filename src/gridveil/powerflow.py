@@ -26,6 +26,10 @@ from .netmodel import NetworkCase
 # the results: a row's products round with the rows of its block.
 BLOCK_ROWS = 16
 
+# Newton stop on the largest bus mismatch, p.u., of the scalar flow and the
+# batched labeller; a stop at 1e-8 could leave a PCC flow about 2e-6 MW off.
+NEWTON_TOL = 1e-9
+
 
 def dSbus_dV(ybus: np.ndarray, v: np.ndarray):
     """Partials of the bus injections S(V) = V conj(Ybus V) in polar coordinates.
@@ -56,7 +60,7 @@ def newton_pf(
     pv: dict[int, float] | None = None,
     p_inj: dict[int, float] | None = None,
     q_inj: dict[int, float] | None = None,
-    tol: float = 1e-8,
+    tol: float = NEWTON_TOL,
     max_iter: int = 30,
 ) -> PfResult:
     """Solve the power flow with Newton's method from a flat start.
@@ -254,7 +258,7 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
     Row k of x is (v_pcc_1..r, p_dg_1..n, q_dg_1..n).  The rows are solved in
     consecutive blocks of ``BLOCK_ROWS``, cut from the first row.  In a block
     every row runs the same polar Newton iterates as ``newton_pf`` from a flat
-    start, with its default tol 1e-8 and max_iter 30 as ``ds_response`` uses
+    start, with its tol ``NEWTON_TOL`` and max_iter 30 as ``ds_response`` uses
     them, but the block shares one mismatch product and one stacked solve per
     iteration; a row stops at its own outcome (converged, non-finite
     mismatch, singular Jacobian, or max_iter).  Limits are checked as in
@@ -263,7 +267,7 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
     Returns (label, p_pcc, q_pcc): labels 0/1 and export flows in MW/MVAr,
     NaN on every infeasible row.
     """
-    tol, max_iter = 1e-8, 30
+    tol, max_iter = NEWTON_TOL, 30
     if len(case.pcc_map) != 1:
         raise ValueError("ds_response_batch expects a single-DS case")
     couplings = next(iter(case.pcc_map.values()))

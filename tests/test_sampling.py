@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridveil.powerflow import BLOCK_ROWS, ds_response
+from gridveil.powerflow import BLOCK_ROWS, ds_response, newton_pf
 from gridveil.sampling import (
     chart_mask,
     csv_header,
@@ -125,6 +125,30 @@ def test_generate_dataset_labels_and_flows(ds3):
         assert resp.feasible
         assert np.max(np.abs(resp.p_pcc - ds.p_pcc[i])) <= 1e-10
         assert np.max(np.abs(resp.q_pcc - ds.q_pcc[i])) <= 1e-10
+
+
+def test_labelled_flows_match_a_tight_newton_flow(ds3):
+    # perfbench's ds-labelling seed for run 307, operation 55, feeder ds3: a
+    # Newton stop at 1e-8 p.u. left row 7's PCC flows 1.83e-6 MW off
+    seed = int(np.random.SeedSequence([307, 55, 2]).generate_state(1)[0])
+    ds = generate_dataset(ds3, 500, seed=seed)
+    (couplings,) = ds3.pcc_map.values()
+    r, n_dg = ds.n_pcc, ds3.n_gen
+    worst = 0.0
+    for i in np.flatnonzero(ds.label == 0):
+        x = ds.x[i]
+        p_inj, q_inj = {}, {}
+        for g, gen in enumerate(ds3.generators):
+            p_inj[gen.bus] = p_inj.get(gen.bus, 0.0) + x[r + g]
+            q_inj[gen.bus] = q_inj.get(gen.bus, 0.0) + x[r + n_dg + g]
+        fixed = {bus: complex(x[u]) for u, (bus, _) in enumerate(couplings)}
+        res = newton_pf(ds3, fixed=fixed, pv={}, p_inj=p_inj, q_inj=q_inj, tol=1e-12)
+        assert res.converged
+        for u, (bus, _) in enumerate(couplings):
+            k = ds3.bus_index(bus)
+            s_pcc = -(res.s_inj[k] + complex(ds3.buses[k].p_d, ds3.buses[k].q_d))
+            worst = max(worst, abs(s_pcc.real - ds.p_pcc[i, u]), abs(s_pcc.imag - ds.q_pcc[i, u]))
+    assert worst <= 2e-7, worst
 
 
 def test_generate_dataset_worker_count_invariance(ds1):
