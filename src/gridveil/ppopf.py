@@ -29,7 +29,12 @@ from .netmodel import NetworkCase
 from .powerflow import LimitReport, check_limits, line_flows
 from .surrogate import SurrogateBundle
 
-VERIFY_TOL = 1e-5  # limit tolerance at the verified point, above the re-solve's 1e-6
+# Limit tolerance at the verified point, above the re-solve's 1e-6 (p.u.
+# voltages, rating ratios).  The pre-solve chart check uses the same value in
+# MW/MVAr.  That is intended: the coupled OPF's chart rows act on DG columns
+# in MW (``chart_rows`` at scale 1), so the 1e-6 its solver holds them to is
+# in MW too, ten times inside this check.
+VERIFY_TOL = 1e-5
 
 
 def assemble_pp(
@@ -213,17 +218,15 @@ def verify_dispatch(
     """
     if not pp_solution.optimal:
         raise ValueError("pp solution is not optimal")
-    case = integrated_case
-    dg_map = case.meta.get("dg_map")
+    dg_map = integrated_case.meta.get("dg_map")
     if not dg_map:
         raise ValueError("integrated case lacks DG ownership metadata")
     raw = float(pp_solution.objective)
-    nan = float("nan")
 
-    problem = assemble_standard(case)
+    problem = assemble_standard(integrated_case)
     pg, qg = problem.var_slices["pg"].start, problem.var_slices["qg"].start
-    chart_of = dict(zip(problem.meta["dg_gens"], case.all_dg_charts()))
-    base = case.base_mva
+    chart_of = dict(zip(problem.meta["dg_gens"], integrated_case.all_dg_charts()))
+    base = integrated_case.base_mva
     breaches = []
     for ds, gidx in dg_map.items():
         xj = pp_solution.x_ds[ds]
@@ -233,6 +236,10 @@ def verify_dispatch(
             raise ValueError(f"DS {ds}: {len(gidx)} DGs in case, bundle has {n_dg}")
         for k, g in enumerate(gidx):
             p, q = float(xj[r + k]), float(xj[r + n_dg + k])
+            if not (np.isfinite(p) and np.isfinite(q)):
+                # a NaN pin would leave its column free, as NaN != NaN
+                breaches.append(f"DS {ds} DG {k + 1} setpoint ({p} MW, {q} MVAr) is not finite")
+                continue
             chart = chart_of.get(g)
             excess = np.max(chart.a_pq @ (p, q) - chart.b_pq) if chart else 0.0
             if excess > VERIFY_TOL:
@@ -243,16 +250,23 @@ def verify_dispatch(
             problem.lb[pg + g] = problem.ub[pg + g] = p / base
             problem.lb[qg + g] = problem.ub[qg + g] = q / base
     if breaches:
-        return VerificationReport(False, {}, nan, raw, nan, message="; ".join(breaches))
+        return VerificationReport(
+            feasible_true=False,
+            violations={},
+            verified_cost=float("nan"),
+            raw_cost=raw,
+            pcc_flow_error=float("nan"),
+            message="; ".join(breaches),
+        )
 
     sol = solve_nlp(problem, opts)
     if not sol.optimal:
         return VerificationReport(
-            False,
-            {},
-            nan,
-            raw,
-            nan,
+            feasible_true=False,
+            violations={},
+            verified_cost=float("nan"),
+            raw_cost=raw,
+            pcc_flow_error=float("nan"),
             message=f"re-solve {sol.status}: {sol.message}",
             solve_time=sol.solve_time,
             iterations=sol.iterations,
@@ -260,11 +274,11 @@ def verify_dispatch(
 
     # limit violations, attributed to the TS (-1) or the DS that owns them
     v = sol.v * np.exp(1j * sol.theta)
-    rep = check_limits(case, v, tol=VERIFY_TOL)
-    bus_ds = {b: ds for ds, own in case.meta["ds_buses"].items() for b in own}
-    branch_ds = np.array([-1 if d is None else d for d in case.meta["branch_ds"]])
+    rep = check_limits(integrated_case, v, tol=VERIFY_TOL)
+    bus_ds = {b: ds for ds, own in integrated_case.meta["ds_buses"].items() for b in own}
+    branch_ds = np.array([-1 if d is None else d for d in integrated_case.meta["branch_ds"]])
     violations = {}
-    for dom in ("ts", *case.meta["ds_buses"]):
+    for dom in ("ts", *integrated_case.meta["ds_buses"]):
         key = -1 if dom == "ts" else dom
         v_rows = tuple(row for row in rep.v_violations if bus_ds.get(row[0], -1) == key)
         flow_rows = tuple(row for row in rep.flow_violations if branch_ds[row[0]] == key)
@@ -278,12 +292,12 @@ def verify_dispatch(
 
     # regression error at the verified operating point: re-evaluate each
     # bundle at (re-solved PCC voltages, pinned DG setpoints)
-    sf, st = line_flows(case, v)
-    tab = case.branch_table
+    sf, st = line_flows(integrated_case, v)
+    tab = integrated_case.branch_table
     err = 0.0
     for ds in dg_map:
         bundle = bundles[ds]
-        pcc = [case.bus_index(t) for _, t in case.pcc_map[ds]]
+        pcc = [integrated_case.bus_index(t) for _, t in integrated_case.pcc_map[ds]]
         xj = pp_solution.x_ds[ds].copy()
         xj[: len(pcc)] = np.abs(v[pcc])
         own = tab.closed & (branch_ds == ds)

@@ -217,6 +217,22 @@ def test_verify_names_a_dg_outside_its_chart(pp_solution_file, bundle_files, tmp
     assert "KKT" not in out
 
 
+def test_verify_names_a_nan_setpoint(pp_solution_file, bundle_files, tmp_path, capsys):
+    sol = json.loads(Path(pp_solution_file).read_text())
+    r = len(bundled_case("ds3").pcc_map[3])
+    sol["x_ds"]["3"][r] = float("nan")  # json writes NaN, and reads it back
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(sol))
+    args = ["verify", "--ts", "ts30", "--solution", str(bad)]
+    for ds in ("ds1", "ds2", "ds3"):
+        args += ["--attach", ds]
+    for b in bundle_files:
+        args += ["--bundle", b]
+    assert run(args) == 2
+    out = capsys.readouterr().out
+    assert "infeasible" in out and "DS 3 DG 1" in out and "not finite" in out
+
+
 def test_verify_rejects_standard_solution(tmp_path, bundle_files, capsys):
     out = tmp_path / "std.json"
     case = Path(__file__).parent / "golden" / "two_bus.case"

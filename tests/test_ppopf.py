@@ -361,6 +361,16 @@ def test_verify_catches_out_of_chart_dispatch(integrated, pp_sol, quick_bundles)
     assert rep.iterations == 0  # named before any re-solve
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_verify_rejects_a_non_finite_setpoint(integrated, pp_sol, quick_bundles, bad):
+    corrupted = copy.deepcopy(pp_sol)
+    corrupted.x_ds[3][quick_bundles[3].n_pcc] = bad  # p of DS 3's first DG
+    rep = verify_dispatch(integrated, corrupted, quick_bundles)
+    assert not rep.feasible_true
+    assert "DS 3 DG 1 " in rep.message and "not finite" in rep.message
+    assert rep.iterations == 0
+
+
 def test_verify_pins_dg_columns_of_the_standard_opf(integrated, pp_sol, quick_bundles, monkeypatch):
     seen = []
 
