@@ -72,9 +72,6 @@ class BranchSet:
         s = vi * np.conj(self.y[:, 0] * vi + self.y[:, 1] * vk)
         return vi, vk, s, vi * np.conj(self.y[:, 1] * vk)
 
-    def flows(self, v: np.ndarray) -> np.ndarray:
-        return self._terms(v)[2]
-
     def flow_jacobian(self, v: np.ndarray):
         """dS/dVa and dS/dVm of every row at its buses (i, k): complex (rows, 2).
 
@@ -90,7 +87,7 @@ class BranchSet:
     def sq_constraints(self, v: np.ndarray, width: int):
         """h = |S|^2 - limit^2 and its Jacobian (rows x width), theta then vm columns."""
         n = self.n_bus
-        s = self.flows(v)
+        s = self._terms(v)[2]
         h = s.real**2 + s.imag**2 - self.limit_sq
         ds_dva, ds_dvm = self.flow_jacobian(v)
         jac = np.zeros((self.n_rows, width))
@@ -228,6 +225,8 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     Equalities: active/reactive balance at every bus, plus the angle
     reference (slack theta pinned through an equal-bound box).  Inequalities:
     squared apparent-power limits at both ends of every rated branch.
+    Callbacks size their outputs by len(x), so columns a caller appends
+    after this block read zero in every gradient, Jacobian and Hessian.
     """
     n = case.n_bus
     ng = case.n_gen
@@ -270,7 +269,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     def objective(x):
         pg = x[i_pg]
         f = float(np.sum(ca * pg**2 + cb * pg + cc))
-        grad = np.zeros(nx)
+        grad = np.zeros(len(x))
         grad[i_pg] = 2 * ca * pg + cb
         return f, grad
 
@@ -282,7 +281,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         s = v * np.conj(ybus @ v)
         mis = s + sd - kg @ (x[i_pg] + 1j * x[i_qg])
         ds_dva, ds_dvm = dSbus_dV(ybus, v)
-        jac = np.zeros((2 * n, nx))
+        jac = np.zeros((2 * n, len(x)))
         jac[:n, i_th] = ds_dva.real
         jac[:n, i_vm] = ds_dvm.real
         jac[:n, i_pg] = -kg
@@ -292,18 +291,18 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         return np.concatenate([mis.real, mis.imag]), jac
 
     def inequalities(x):
-        return branches.sq_constraints(voltages(x), nx)
+        return branches.sq_constraints(voltages(x), len(x))
 
     def lag_hess(x, sigma, lam, mu):
         v = voltages(x)
-        hess = np.zeros((nx, nx))
+        hess = np.zeros((len(x), len(x)))
         hb = bus_injection_hessian(ybus, v, lam[:n], lam[n:])
         if branches.n_rows:
             hb += branches.sq_hessian(v, mu[: branches.n_rows])
         hess[: 2 * n, : 2 * n] = hb
-        dpg = np.zeros(nx)
+        dpg = np.zeros(len(x))
         dpg[i_pg] = sigma * 2 * ca
-        hess[np.diag_indices(nx)] += dpg
+        hess[np.diag_indices(len(x))] += dpg
         return hess
 
     meta = {"base_mva": base}
@@ -436,7 +435,8 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     like those of the user rows; a pinned column's stationarity does not,
     as its multiplier is free.  Failure to reduce the residuals within the
     iteration cap yields iteration_limit, or infeasible when the final
-    violation is far above tolerance.
+    violation is far above tolerance.  A problem needs at least one
+    inequality row or finite bound, for its barrier.
     """
     opts = opts or NlpOptions()
     t0 = time.perf_counter()
@@ -463,6 +463,8 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     f, df = problem.objective(x)
     g, jg, h, jh = evaluate(x)
     neq, niq, nnl = len(g), len(h), len(jh)
+    if not niq:
+        raise ValueError("problem has no inequality row and no finite bound")
     nh = nnl + len(b_lin)  # user rows: nonlinear, then linear
     lam = np.zeros(neq)
     z = np.ones(niq)
@@ -475,15 +477,15 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
 
     def residuals(f, df, g, h, jg, jh, lam, mu, x, z):
         lx = df + jg.T @ lam + jh_t(jh, mu)
-        maxh = np.max(h) if niq else 0.0
+        maxh = np.max(h)
         maxg = np.max(np.abs(g)) if neq else 0.0
         normx = max(np.max(np.abs(x)), 1.0)
-        normz = np.max(np.abs(z)) if niq else 0.0
+        normz = np.max(np.abs(z))
         feascond = max(maxg, maxh) / (1 + max(normx, normz))
         gradcond = np.max(np.abs(lx[fc]), initial=0.0) / (
-            1 + max(np.max(np.abs(lam)) if neq else 0.0, np.max(np.abs(mu)) if niq else 0.0)
+            1 + max(np.max(np.abs(lam)) if neq else 0.0, np.max(np.abs(mu)))
         )
-        compcond = (z @ mu) / (1 + np.max(np.abs(x))) / max(niq, 1) if niq else 0.0
+        compcond = (z @ mu) / (1 + np.max(np.abs(x))) / niq
         return lx, feascond, gradcond, compcond
 
     lx, feascond, gradcond, compcond = residuals(f, df, g, h, jg, jh, lam, mu, x, z)
@@ -530,27 +532,21 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             message = "KKT system singular beyond regularization"
             break
 
-        if niq:
-            dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
-            dmu = -mu + zinv * (gamma - mu * dz)
-            kz = dz < 0
-            alphap = min(1.0, XI * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
-            km = dmu < 0
-            alphad = min(1.0, XI * np.min(mu[km] / -dmu[km])) if np.any(km) else 1.0
-        else:
-            dz = dmu = None
-            alphap = alphad = 1.0
+        dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
+        dmu = -mu + zinv * (gamma - mu * dz)
+        kz = dz < 0
+        alphap = min(1.0, XI * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
+        km = dmu < 0
+        alphad = min(1.0, XI * np.min(mu[km] / -dmu[km])) if np.any(km) else 1.0
 
         x = x + alphap * dx
-        if niq:
-            z = z + alphap * dz
-            mu = mu + alphad * dmu
+        z = z + alphap * dz
+        mu = mu + alphad * dmu
         lam = lam + alphad * dlam
 
         f, df = problem.objective(x)
         g, jg, h, jh = evaluate(x)
-        if niq:
-            gamma = SIGMA * (z @ mu) / niq
+        gamma = SIGMA * (z @ mu) / niq
         lx, feascond, gradcond, compcond = residuals(f, df, g, h, jg, jh, lam, mu, x, z)
         costcond = abs(f - f_prev) / (1 + abs(f_prev))
         f_prev = f
@@ -565,13 +561,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         )
 
     elapsed = time.perf_counter() - t0
-    violation = float(
-        max(
-            np.max(np.abs(g)) if neq else 0.0,
-            np.max(h) if niq else 0.0,
-            0.0,
-        )
-    )
+    violation = float(max(np.max(np.abs(g)) if neq else 0.0, np.max(h), 0.0))
     if converged:
         status = "optimal"
     elif violation > 100 * opts.feastol or message:

@@ -47,9 +47,10 @@ def assemble_pp(
     Variables: the standard (theta, vm, pg, qg) of the TS, then one (DG p,
     DG q) block per DS in ascending ds_id; x_j reads its PCC voltages from
     the ``vm`` columns of its PCC buses, whose box is the TS band narrowed
-    to the bundle's v range.  Each PCC's regressions are added to the P and
-    Q balance rows of its bus, as a load.  Facet and chart rows are the
-    problem's linear rows (NlpProblem.a_lin), after the TS's flow rows.
+    to the bundle's v range.  The TS callbacks take the full x; the DG costs
+    and each PCC's regressions, a load on its bus's balance rows, are added
+    into what they return.  Facet and chart rows are the linear rows
+    (NlpProblem.a_lin), after the TS's flow rows.
     ``meta["x_ds_cols"]`` maps each ds_id to the columns of its x_j.
     """
     ts = assemble_standard(ts_case)
@@ -113,17 +114,13 @@ def assemble_pp(
     cc = np.array([c.c for c in costs])
 
     def objective(x):
-        f, grad_ts = ts.objective(x[:nb])
+        f, grad = ts.objective(x)
         p = x[p_cols]
-        grad = np.zeros(nx)
-        grad[:nb] = grad_ts
         grad[p_cols] = 2 * ca * p + cb
         return f + float(np.sum(ca * p * p + cb * p + cc)), grad
 
     def equalities(x):
-        g, jac_ts = ts.eq(x[:nb])
-        jac = np.zeros((2 * n, nx))
-        jac[:, :nb] = jac_ts
+        g, jac = ts.equalities(x)
         for i, cols, t_p, t_q in loads:
             xj = x[cols]
             for row, t in ((i, t_p), (n + i, t_q)):
@@ -131,15 +128,8 @@ def assemble_pp(
                 jac[row, cols] += 2 * t.a_quad @ xj + t.b_quad
         return g, jac
 
-    def inequalities(x):
-        h, jac_ts = ts.nonlinear_ineq(x[:nb])
-        jac = np.zeros((len(h), nx))
-        jac[:, :nb] = jac_ts
-        return h, jac
-
     def lag_hess(x, sigma, lam, mu):
-        hess = np.zeros((nx, nx))
-        hess[:nb, :nb] = ts.lag_hess(x[:nb], sigma, lam, mu)
+        hess = ts.lag_hess(x, sigma, lam, mu)
         for i, cols, t_p, t_q in loads:
             hess[np.ix_(cols, cols)] += 2.0 * (lam[i] * t_p.a_quad + lam[n + i] * t_q.a_quad)
         hess[p_cols, p_cols] += sigma * 2 * ca
@@ -152,7 +142,7 @@ def assemble_pp(
         objective=objective,
         lag_hess=lag_hess,
         equalities=equalities,
-        inequalities=inequalities,
+        inequalities=ts.inequalities,
         var_slices=ts.var_slices,
         meta={
             **ts.meta,
