@@ -179,6 +179,19 @@ def test_solver_rejects_empty_box():
         solve_nlp(p)
 
 
+def test_solver_refuses_a_problem_without_inequalities():
+    # no inequality row and no finite bound: the barrier has nothing to act on
+    p = NlpProblem(
+        x0=np.zeros(2),
+        lb=np.full(2, -np.inf),
+        ub=np.full(2, np.inf),
+        objective=lambda x: (float(x @ x), 2 * x),
+        lag_hess=lambda x, sigma, lam, mu: sigma * 2 * np.eye(2),
+    )
+    with pytest.raises(ValueError, match="no inequality row and no finite bound"):
+        solve_nlp(p)
+
+
 def test_opf_toy_case_views(toy3):
     sol = solve_standard(toy3, TIGHT)
     assert sol.optimal

@@ -104,6 +104,17 @@ def test_ts_block_is_the_standard_opf(ts30, quick_bundles, rng):
         hess = problem.lag_hess(x, 0.5, lam, mu)
         hess_std = std.lag_hess(x[:nb], 0.5, lam, mu[:n_flow])
         assert np.array_equal(hess[:nb, :nb], hess_std)
+        # at the full PP x, each standard callback is its value at x[:nb], zero-padded
+        pad = problem.n - nb
+        f_full, grad_full = std.objective(x)
+        assert f_full == std.objective(x[:nb])[0]
+        assert np.array_equal(grad_full, np.pad(std.objective(x[:nb])[1], (0, pad)))
+        for callback in (std.eq, std.ineq):
+            (val, jac), (val_nb, jac_nb) = callback(x), callback(x[:nb])
+            assert np.array_equal(val, val_nb)
+            assert np.array_equal(jac, np.pad(jac_nb, ((0, 0), (0, pad))))
+        hess_full = std.lag_hess(x, 0.5, lam, mu[:n_flow])
+        assert np.array_equal(hess_full, np.pad(hess_std, (0, pad)))
 
 
 def test_assembly_names_an_empty_pcc_band(ts30, quick_bundles):
