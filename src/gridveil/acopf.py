@@ -435,7 +435,8 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     like those of the user rows; a pinned column's stationarity does not,
     as its multiplier is free.  Failure to reduce the residuals within the
     iteration cap yields iteration_limit, or infeasible when the final
-    violation is far above tolerance.  A problem needs at least one
+    violation is far above tolerance; either way the message names the cap
+    and the last residuals.  A problem needs at least one
     inequality row or finite bound, for its barrier.
     """
     opts = opts or NlpOptions()
@@ -568,6 +569,11 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         status = "infeasible"
     else:
         status = "iteration_limit"
+    if not converged and not message:
+        message = (
+            f"stopped at the {opts.max_iter}-iteration cap: feasibility {feascond:.3g}, "
+            f"gradient {gradcond:.3g}, complementarity {compcond:.3g}"
+        )
 
     sol = OpfSolution(
         x=x,

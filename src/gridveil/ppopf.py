@@ -205,6 +205,8 @@ def verify_dispatch(
     re-solved, so transmission generators may re-balance the regression
     error.  Feasibility of the PP dispatch means that re-solve succeeds
     within every limit; its objective is the defensible cost of the dispatch.
+    A failed re-solve's message names the worst broken voltage band and
+    rating of its last iterate, with their owners.
     """
     if not pp_solution.optimal:
         raise ValueError("pp solution is not optimal")
@@ -250,19 +252,8 @@ def verify_dispatch(
         )
 
     sol = solve_nlp(problem, opts)
-    if not sol.optimal:
-        return VerificationReport(
-            feasible_true=False,
-            violations={},
-            verified_cost=float("nan"),
-            raw_cost=raw,
-            pcc_flow_error=float("nan"),
-            message=f"re-solve {sol.status}: {sol.message}",
-            solve_time=sol.solve_time,
-            iterations=sol.iterations,
-        )
-
-    # limit violations, attributed to the TS (-1) or the DS that owns them
+    # limit violations of the re-solve's last iterate, optimal or not,
+    # attributed to the TS (-1) or the DS that owns them
     v = sol.v * np.exp(1j * sol.theta)
     rep = check_limits(integrated_case, v, tol=VERIFY_TOL)
     bus_ds = {b: ds for ds, own in integrated_case.meta["ds_buses"].items() for b in own}
@@ -278,6 +269,18 @@ def verify_dispatch(
             flow_violations=flow_rows,
             max_v_err=max((max(lo - vm, vm - hi) for _, vm, lo, hi in v_rows), default=0.0),
             max_flow_ratio=max((s / cap for _, s, cap in flow_rows), default=0.0),
+        )
+    if not sol.optimal:
+        return VerificationReport(
+            feasible_true=False,
+            violations=violations,
+            verified_cost=float("nan"),
+            raw_cost=raw,
+            pcc_flow_error=float("nan"),
+            message=f"re-solve {sol.status}: {sol.message}; "
+            + _worst_limits(integrated_case, violations),
+            solve_time=sol.solve_time,
+            iterations=sol.iterations,
         )
 
     # regression error at the verified operating point: re-evaluate each
@@ -306,3 +309,22 @@ def verify_dispatch(
         solve_time=sol.solve_time,
         iterations=sol.iterations,
     )
+
+
+def _worst_limits(case: NetworkCase, violations: dict) -> str:
+    """The worst broken voltage band and the worst broken rating, each with its owner."""
+    owner = {dom: "TS" if dom == "ts" else f"DS {dom}" for dom in violations}
+    v_rows = [(dom, *row) for dom, lim in violations.items() for row in lim.v_violations]
+    flow_rows = [(dom, *row) for dom, lim in violations.items() for row in lim.flow_violations]
+    parts = []
+    if v_rows:
+        dom, bus, vm, lo, hi = max(v_rows, key=lambda r: max(r[3] - r[2], r[2] - r[4]))
+        parts.append(f"worst voltage: {owner[dom]} bus {bus} at {vm:.6g} p.u., band [{lo}, {hi}]")
+    if flow_rows:
+        dom, i, s_end, cap = max(flow_rows, key=lambda r: r[2] / r[3])
+        br = case.branches[i]
+        parts.append(
+            f"worst rating: {owner[dom]} branch {br.from_bus}-{br.to_bus} at "
+            f"{s_end / cap:.4g} of its {cap:.4g} MVA"
+        )
+    return "; ".join(parts) or "no voltage band or rating is broken at the last iterate"

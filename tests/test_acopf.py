@@ -192,6 +192,13 @@ def test_solver_refuses_a_problem_without_inequalities():
         solve_nlp(p)
 
 
+def test_iteration_cap_is_named(toy3):
+    sol = solve_standard(toy3, NlpOptions(max_iter=2))
+    assert not sol.optimal and sol.iterations == 2
+    assert sol.message.startswith("stopped at the 2-iteration cap: feasibility ")
+    assert "gradient" in sol.message and "complementarity" in sol.message
+
+
 def test_opf_toy_case_views(toy3):
     sol = solve_standard(toy3, TIGHT)
     assert sol.optimal

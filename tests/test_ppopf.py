@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,22 @@ def test_verify_pins_dg_columns_of_the_standard_opf(integrated, pp_sol, quick_bu
                 pinned[col] = True
     assert np.array_equal(problem.lb[~pinned], std.lb[~pinned])
     assert np.array_equal(problem.ub[~pinned], std.ub[~pinned])
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_verify_names_the_cap_and_the_worst_limit(integrated, pp_sol, quick_bundles, cap):
+    rep = verify_dispatch(integrated, pp_sol, quick_bundles, NlpOptions(max_iter=cap))
+    assert not rep.feasible_true and rep.iterations == cap
+    assert f"stopped at the {cap}-iteration cap" in rep.message
+    # the limit split is built for the last iterate, and the message reads it
+    assert set(rep.violations) == {"ts", *integrated.meta["ds_buses"]}
+    lims = rep.violations.values()
+    if any(lim.v_violations for lim in lims):
+        assert re.search(r"worst voltage: (TS|DS \d) bus \d+ at ", rep.message)
+    if any(lim.flow_violations for lim in lims):
+        assert re.search(r"worst rating: (TS|DS \d) branch \d+-\d+ at ", rep.message)
+    if all(lim.ok for lim in lims):
+        assert rep.message.endswith("no voltage band or rating is broken at the last iterate")
 
 
 def test_verify_requires_optimal_input(integrated, pp_sol, quick_bundles):
