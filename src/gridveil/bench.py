@@ -21,32 +21,24 @@ from .ppopf import assemble_pp, solve_pp, verify_dispatch
 from .sampling import pool_map, resolve_jobs, write_json
 from .surrogate import SurrogateBundle
 
-# defaults straddle typical thermal-unit marginal costs so the cheap side
+# the ranges straddle typical thermal-unit marginal costs so the cheap side
 # flips between TS units and DGs across trials
 COST_A_RANGE = (0.01, 0.05)  # $/MW^2 h
 COST_B_RANGE = (5.0, 50.0)  # $/MWh
 
 
-def random_costs(
-    case: NetworkCase,
-    n_trials: int,
-    seed: int,
-    ranges: tuple[tuple[float, float], tuple[float, float]] = (COST_A_RANGE, COST_B_RANGE),
-) -> list[list[CostPoly]]:
+def random_costs(case: NetworkCase, n_trials: int, seed: int) -> list[list[CostPoly]]:
     """One quadratic cost set per trial covering every generator of the case.
 
     Per-trial RNG streams come from splitting the master seed, so draws are
     stable under any parallel execution order.
     """
-    (a_lo, a_hi), (b_lo, b_hi) = ranges
-    if a_lo <= 0 or b_lo <= 0 or a_hi < a_lo or b_hi < b_lo:
-        raise ValueError("cost ranges must be positive and ordered")
     ng = case.n_gen
     out = []
     for child in np.random.SeedSequence(seed).spawn(n_trials):
         rng = np.random.default_rng(child)
-        a = rng.uniform(a_lo, a_hi, ng)
-        b = rng.uniform(b_lo, b_hi, ng)
+        a = rng.uniform(*COST_A_RANGE, ng)
+        b = rng.uniform(*COST_B_RANGE, ng)
         out.append([CostPoly(float(ai), float(bi), 0.0) for ai, bi in zip(a, b)])
     return out
 

@@ -91,10 +91,10 @@ def nn_forward(model: PolytopeModel, x: np.ndarray):
     return f, y
 
 
-def classify(model: PolytopeModel, x: np.ndarray, tol: float = 0.0):
-    """0 (feasible) iff max(a_fr . x - b_fr) <= tol, else 1; batch-aware."""
+def classify(model: PolytopeModel, x: np.ndarray):
+    """0 (feasible) iff max(a_fr . x - b_fr) <= 0, else 1; batch-aware."""
     _, f = _max_node(model, np.atleast_2d(x))
-    label = (f > tol).astype(np.int8)
+    label = (f > 0).astype(np.int8)
     if np.ndim(x) == 1:
         return int(label[0])
     return label

@@ -54,13 +54,6 @@ def test_random_costs_seeding(integrated):
     assert random_costs(integrated, 5, seed=9)[:3] == a
 
 
-def test_random_costs_rejects_bad_ranges(integrated):
-    with pytest.raises(ValueError, match="ranges"):
-        random_costs(integrated, 1, 0, ranges=((0.0, 0.1), COST_B_RANGE))
-    with pytest.raises(ValueError, match="ranges"):
-        random_costs(integrated, 1, 0, ranges=(COST_A_RANGE, (50.0, 5.0)))
-
-
 # ------------------------------------------------------------ run_benchmark
 
 
