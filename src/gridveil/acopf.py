@@ -8,11 +8,14 @@ derivatives use the structure of the network: a branch-end flow row touches
 two buses, so its Jacobian row has two entries per coordinate and its
 Hessian is a 4x4 block scattered with np.bincount; the bus-injection
 Hessian is formed by broadcasting over Ybus, in O(n^2).
-solve_nlp is a dense primal-dual interior-point method in the MATPOWER/MIPS
+solve_nlp is a primal-dual interior-point method in the MATPOWER/MIPS
 mold, driven by the exact analytic Lagrangian Hessian that every problem
 supplies.  It keeps box bounds as vectors (box_bounds) rather than
 constraint rows, holds a column with lb == ub at its bound, and works on
-constant linear rows only over the columns they touch.
+constant linear rows only over the columns they touch.  Its Newton system
+is formed and solved by owner blocks (KktBlocks): on an integrated case,
+one dense block per DS, bordered by the TS, whose Schur complement joins
+them.
 
 The privacy-preserving formulation (see the ppopf module) is this standard
 problem over the transmission case, extended by surrogate blocks.
@@ -166,6 +169,11 @@ class NlpProblem:
     rows and any further ones (linear rows) carry no curvature.  The linear
     rows a_lin x <= b_lin are constant data.  var_slices names the blocks of
     x for unpacking and reporting.
+
+    col_owner and eq_owner partition the columns and the equality rows: -1
+    is the border, and any other owner is a block whose derivatives and
+    linear rows meet no other owner's columns or rows, only the border's.
+    None puts everything in the border, as one block.
     """
 
     x0: np.ndarray
@@ -179,6 +187,8 @@ class NlpProblem:
     meta: dict = field(default_factory=dict)
     a_lin: np.ndarray | None = None
     b_lin: np.ndarray | None = None
+    col_owner: np.ndarray | None = None
+    eq_owner: np.ndarray | None = None
 
     def __post_init__(self):
         if self.a_lin is None:
@@ -227,6 +237,10 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     squared apparent-power limits at both ends of every rated branch.
     Callbacks size their outputs by len(x), so columns a caller appends
     after this block read zero in every gradient, Jacobian and Hessian.
+    An integrated case is partitioned by DS (``meta["ds_buses"]`` and
+    ``["dg_map"]``): a DS owns the theta/vm columns and balance rows of its
+    own buses and the p/q columns of its DGs; the TS, its PCC buses
+    included, is the border.
     """
     n = case.n_bus
     ng = case.n_gen
@@ -311,6 +325,17 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     else:
         meta["dg_gens"] = list(range(ng))
 
+    bus_owner = np.full(n, -1)
+    for ds, own in case.meta.get("ds_buses", {}).items():
+        bus_owner[[case.bus_index(b) for b in own]] = ds
+    gen_owner = np.full(ng, -1)
+    for ds, gens in case.meta.get("dg_map", {}).items():
+        gen_owner[gens] = ds
+    tab = case.branch_table
+    f_own, t_own = bus_owner[tab.f[tab.closed]], bus_owner[tab.t[tab.closed]]
+    if np.any((f_own != t_own) & (f_own >= 0) & (t_own >= 0)):
+        raise ValueError("a closed branch joins the buses of two DSs")
+
     return NlpProblem(
         x0=x0,
         lb=lb,
@@ -321,6 +346,8 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         lag_hess=lag_hess,
         var_slices={"theta": i_th, "vm": i_vm, "pg": i_pg, "qg": i_qg},
         meta=meta,
+        col_owner=np.concatenate([bus_owner, bus_owner, gen_owner, gen_owner]),
+        eq_owner=np.concatenate([bus_owner, bus_owner]),
     )
 
 
@@ -416,6 +443,116 @@ def box_bounds(problem: NlpProblem):
     return pinned, col, sign, np.concatenate([ub[hi], lb[lo]])
 
 
+class KktBlocks:
+    """The Newton system of solve_nlp, formed and solved by owner blocks.
+
+    The system is K = [[M, Jg^T], [Jg, 0]] over the free columns and the
+    equality rows, with M = H + Jh^T W Jh plus the linear rows' and bounds'
+    weights.  Ordered by owner it is bordered block-diagonal: each owner's
+    block meets only the border (owner -1), through the few border entries
+    it touches.  form writes the diagonal blocks and each block's strip of
+    the border; solve eliminates each block against its right-hand side
+    and those entries, solves the border's Schur complement, and
+    back-substitutes.  K is symmetric, so a strip serves both sides of the
+    border.  A problem without owners is a border alone, solved as one
+    dense system.
+    """
+
+    def __init__(self, problem: NlpProblem, fc: np.ndarray, neq: int, sup: np.ndarray):
+        col_owner = np.full(problem.n, -1) if problem.col_owner is None else problem.col_owner
+        eq_owner = np.full(neq, -1) if problem.eq_owner is None else problem.eq_owner
+        owners = sorted((set(col_owner[fc]) | set(eq_owner)) - {-1})
+        lin = np.where(problem.a_lin[:, sup] != 0, col_owner[sup], -1)
+        if np.any((lin >= 0) & (lin != lin.max(axis=1, initial=-1)[:, None])):
+            raise ValueError("a linear row spans the columns of two owners")
+        # (free columns, equality rows) of each owner, the border last
+        self.parts = [
+            (fc[col_owner[fc] == o], np.flatnonzero(eq_owner == o)) for o in (*owners, -1)
+        ]
+        self.mats = [np.zeros((len(c) + len(e),) * 2) for c, e in self.parts]
+        width = len(self.mats[-1])
+        self.strips = [np.zeros((len(a), width)) for a in self.mats[:-1]]
+        # flat positions of the linear rows' weights in each matrix and strip,
+        # and of their entries in the (sup x sup) m_lin
+        ns = len(sup)
+        bpos, bsup = _positions(self.parts[-1][0], sup)
+        self.lin = []
+        for (c, _), a in zip(self.parts, self.mats):
+            pos, at = _positions(c, sup)
+            self.lin.append(
+                (
+                    _flat(pos, pos, len(a)),
+                    _flat(at, at, ns),
+                    _flat(pos, bpos, width),
+                    _flat(at, bsup, ns),
+                )
+            )
+        self.m_diag = [None] * len(self.parts)
+        self.touch = [None] * len(self.strips)
+
+    def form(self, hess, jg, jh, w, m_lin, d_box):
+        """Fill the blocks: H, Jh^T diag(w) Jh, m_lin on sup and d_box on the diagonal."""
+        bc, be = self.parts[-1]
+        nb = len(bc)
+        jh_b, jg_b = jh[:, bc], jg[be]
+        m_flat = m_lin.ravel()
+        for b, ((c, e), a, (ia, im, sa, sm)) in enumerate(zip(self.parts, self.mats, self.lin)):
+            nc = len(c)
+            jc = jh[:, c] if b < len(self.strips) else jh_b
+            rows = np.flatnonzero(jc.any(axis=1))  # the rows that reach these columns
+            jr = jc[rows]
+            wj = jr.T * w[rows]
+            h_c, jg_e = hess[c], jg[e]
+            a[:nc, :nc] = h_c[:, c] + wj @ jr
+            a.ravel()[ia] += m_flat[im]
+            a[nc:, :nc] = jg_e[:, c]
+            a[:nc, nc:] = a[nc:, :nc].T
+            self.m_diag[b] = a[np.diag_indices(nc)] + d_box[c]
+            if b == len(self.strips):
+                break
+            s = self.strips[b]
+            s[:nc, :nb] = h_c[:, bc] + wj @ jh_b[rows]
+            s.ravel()[sa] += m_flat[sm]
+            s[:nc, nb:] = jg_b[:, c].T
+            s[nc:, :nb] = jg_e[:, bc]
+            self.touch[b] = np.flatnonzero(s.any(axis=0))
+
+    def solve(self, r_x: np.ndarray, r_g: np.ndarray, reg: float):
+        """(dx, dlam) of K + reg diag(I, -I) against (r_x, r_g); pinned dx stay 0.
+
+        Raises LinAlgError when a block or the Schur complement is singular.
+        """
+        for a, (c, e), d in zip(self.mats, self.parts, self.m_diag):
+            a[np.diag_indices(len(a))] = np.concatenate([d + reg, np.full(len(e), -reg)])
+        rhs = [np.concatenate([r_x[c], r_g[e]]) for c, e in self.parts]
+        schur, r0 = self.mats[-1].copy(), rhs[-1]
+        elim = []
+        for a, s, t, r in zip(self.mats, self.strips, self.touch, rhs):
+            st = s[:, t]
+            y = np.linalg.solve(a, np.column_stack([st, r]))
+            schur[np.ix_(t, t)] -= st.T @ y[:, :-1]
+            r0[t] -= st.T @ y[:, -1]
+            elim.append(y)
+        sol = [np.linalg.solve(schur, r0)]
+        sol = [y[:, -1] - y[:, :-1] @ sol[0][t] for y, t in zip(elim, self.touch)] + sol
+        dx = np.zeros(len(r_x))
+        dlam = np.empty(len(r_g))
+        for (c, e), v in zip(self.parts, sol):
+            dx[c], dlam[e] = v[: len(c)], v[len(c) :]
+        return dx, dlam
+
+
+def _positions(cols: np.ndarray, sup: np.ndarray):
+    """(positions in cols, positions in sup) of the columns that both hold."""
+    _, at_c, at_s = np.intersect1d(cols, sup, assume_unique=True, return_indices=True)
+    return at_c, at_s
+
+
+def _flat(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Flat positions of the (rows x cols) grid in a matrix of this width."""
+    return (rows[:, None] * width + cols).ravel()
+
+
 # iterates may transiently overflow on diverging problems before the
 # finiteness check below declares them infeasible; keep numpy quiet about it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -430,8 +567,12 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     block of the KKT matrix; and the box bounds, kept as vectors: a finite
     bound is a row with one +-1 entry, so its terms are a diagonal add and
     an index, and a pinned column is held at its bound outside the Newton
-    system.  The KKT matrix is filled in one buffer per solve and factored
-    densely.  Bound slacks and multipliers count in the convergence tests
+    system.  That system is formed and solved by the problem's owner blocks
+    (KktBlocks), in one set of buffers per solve: each block is eliminated
+    against the border entries it touches, then the border's Schur
+    complement is solved.  A singular block or complement, or a non-finite
+    step, takes the next step of one regularization ladder on the whole
+    system.  Bound slacks and multipliers count in the convergence tests
     like those of the user rows; a pinned column's stationarity does not,
     as its multiplier is free.  Failure to reduce the residuals within the
     iteration cap yields iteration_limit, or infeasible when the final
@@ -446,7 +587,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     x[pinned] = problem.lb[pinned]
     n = len(x)
     fc = np.flatnonzero(~pinned)  # the columns of the Newton system
-    nf = len(fc)
     sup = np.flatnonzero(np.any(problem.a_lin != 0, axis=0))  # linear rows' columns
     a_s, b_lin = problem.a_lin[:, sup], problem.b_lin
 
@@ -495,43 +635,37 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     converged = feascond < opts.feastol and gradcond < opts.gradtol and compcond < opts.comptol
     it = 0
     message = ""
-    kkt = np.zeros((nf + neq, nf + neq))
-    diag = np.diag_indices(nf + neq)
+    kkt = KktBlocks(problem, fc, neq, sup)
 
     while not converged and it < opts.max_iter:
         it += 1
-        hess = problem.lag_hess(x, 1.0, lam, mu[:nnl])
         zinv = 1.0 / z
         w = mu * zinv
-        m = hess + (jh.T * w[:nnl]) @ jh
-        m[np.ix_(sup, sup)] += (a_s.T * w[nnl:nh]) @ a_s
-        m[np.diag_indices(n)] += np.bincount(col, weights=w[nh:], minlength=n)
+        kkt.form(
+            problem.lag_hess(x, 1.0, lam, mu[:nnl]),
+            jg,
+            jh,
+            w[:nnl],
+            (a_s.T * w[nnl:nh]) @ a_s,
+            np.bincount(col, weights=w[nh:], minlength=n),
+        )
         nvec = lx + jh_t(jh, zinv * (gamma + mu * h))
-        jg_f = jg[:, fc]
-        kkt[:nf, :nf] = m[np.ix_(fc, fc)]
-        kkt[:nf, nf:] = jg_f.T
-        kkt[nf:, :nf] = jg_f
-        m_diag = m[fc, fc]
-        rhs = np.concatenate([-nvec[fc], -g])
 
-        dx = np.zeros(n)
-        dlam = None
+        step = None
         reg = 0.0
         for _ in range(7):
-            kkt[diag] = np.concatenate([m_diag + reg, np.full(neq, -reg)])
             try:
-                sol = np.linalg.solve(kkt, rhs)
+                step = kkt.solve(-nvec, -g, reg)
             except np.linalg.LinAlgError:
-                reg = max(10 * reg, 1e-10)
-                continue
-            if not np.all(np.isfinite(sol)):
-                reg = max(10 * reg, 1e-10)
-                continue
-            dx[fc], dlam = sol[:nf], sol[nf:]
-            break
-        if dlam is None:
+                step = None
+            if step is not None and all(np.all(np.isfinite(v)) for v in step):
+                break
+            step = None
+            reg = max(10 * reg, 1e-10)
+        if step is None:
             message = "KKT system singular beyond regularization"
             break
+        dx, dlam = step
 
         dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
         dmu = -mu + zinv * (gamma - mu * dz)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridveil.acopf import KktBlocks
 from gridveil.netmodel import CostPoly, build_integrated, bundled_case, parse_case
 from gridveil.sampling import generate_dataset, sample_space, split_dataset
 from gridveil.surrogate import SurrogateBundle, TrainConfig, fit_quadratic, train_fr
@@ -125,3 +126,45 @@ def quick_bundles(ds1, ds2, ds3):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def kkt_systems(monkeypatch):
+    """Every Newton system that solve_nlp forms, with the step it solved for.
+
+    One record per solve of the blocks: the problem, the blocks, copies of
+    the form arguments, the right-hand side (r_x, r_g), the regularization
+    and the returned (dx, dlam).
+    """
+    records = []
+    init, form, solve = KktBlocks.__init__, KktBlocks.form, KktBlocks.solve
+
+    def spy_init(self, problem, *args):
+        init(self, problem, *args)
+        self.problem = problem
+
+    def spy_form(self, *args):
+        self.form_args = [np.array(a) for a in args]
+        form(self, *args)
+
+    def spy_solve(self, r_x, r_g, reg):
+        step = solve(self, r_x, r_g, reg)
+        records.append(
+            dict(
+                problem=self.problem,
+                blocks=self,
+                form=self.form_args,
+                r_x=r_x.copy(),
+                r_g=r_g.copy(),
+                reg=reg,
+                dx=step[0],
+                dlam=step[1],
+                touch=[len(t) for t in self.touch],
+            )
+        )
+        return step
+
+    monkeypatch.setattr(KktBlocks, "__init__", spy_init)
+    monkeypatch.setattr(KktBlocks, "form", spy_form)
+    monkeypatch.setattr(KktBlocks, "solve", spy_solve)
+    return records

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against textbook
 formulas, not by importing package internals: backward/forward-sweep power
 flow for radial feeders, ray-crossing polygon membership, per-branch 2x2
 admittance stamping, MATPOWER's dense-matrix OPF derivatives, a brute-force
-grid optimizer for a 3-bus OPF, and finite-difference derivative checks.
+grid optimizer for a 3-bus OPF, the interior-point Newton system formed and
+solved as one dense matrix, and finite-difference derivative checks.
 """
 
 from __future__ import annotations
@@ -339,6 +340,40 @@ def brute_force_opf_3bus(case, step: float = 1e-3):
     cost[~feas] = np.inf
     k = int(np.argmin(cost))
     return float(cost[k]), float(p2f[k]), float(v2f[k])
+
+
+# ---------------------------------------------------------------------------
+# Interior-point Newton system, as one dense matrix
+# ---------------------------------------------------------------------------
+
+
+def dense_kkt_step(problem, hess, jg, jh, w, m_lin, d_box, r_x, r_g, reg):
+    """The Newton system of one interior-point iteration, formed and solved whole.
+
+    K = [[M + reg I, Jg^T], [Jg, -reg I]] over the columns with lb != ub and
+    every equality row, with M = H + Jh^T diag(w) Jh, plus m_lin on the
+    columns the linear rows touch and d_box on the diagonal.  Returns
+    (K, rhs, K^-1 rhs, free columns), rhs = (r_x on the free columns, r_g).
+    """
+    fc = np.flatnonzero(problem.lb != problem.ub)
+    sup = np.flatnonzero(np.any(problem.a_lin != 0, axis=0))
+    m = hess + (jh.T * w) @ jh
+    m[np.ix_(sup, sup)] += m_lin
+    m[np.diag_indices(len(m))] += d_box + reg
+    jf = jg[:, fc]
+    k = np.block([[m[np.ix_(fc, fc)], jf.T], [jf, -reg * np.eye(len(jg))]])
+    rhs = np.concatenate([r_x[fc], r_g])
+    return k, rhs, np.linalg.solve(k, rhs), fc
+
+
+def newton_errors(rec) -> tuple[float, float]:
+    """Relative residual ||K x - r|| / ||r|| of a recorded step x, and its
+    relative distance from the dense solve of the same system."""
+    args = (*rec["form"], rec["r_x"], rec["r_g"], rec["reg"])
+    k, rhs, ref, fc = dense_kkt_step(rec["problem"], *args)
+    x = np.concatenate([rec["dx"][fc], rec["dlam"]])
+    res = np.linalg.norm(k @ x - rhs) / np.linalg.norm(rhs)
+    return float(res), float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
 # ---------------------------------------------------------------------------

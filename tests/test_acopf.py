@@ -7,6 +7,7 @@ from gridveil.acopf import (
     BranchSet,
     NlpOptions,
     NlpProblem,
+    append_linear_inequalities,
     assemble_polygon_extension,
     assemble_standard,
     bus_injection_hessian,
@@ -22,6 +23,7 @@ from oracles import (
     dense_flow_jacobian,
     dense_sq_hessian,
     fd_jacobian,
+    newton_errors,
     rel_err,
     stamp_branch_rows,
 )
@@ -189,6 +191,70 @@ def test_solver_refuses_a_problem_without_inequalities():
         lag_hess=lambda x, sigma, lam, mu: sigma * 2 * np.eye(2),
     )
     with pytest.raises(ValueError, match="no inequality row and no finite bound"):
+        solve_nlp(p)
+
+
+# ------------------------------------------------- Newton system by blocks
+
+
+def test_integrated_case_is_partitioned_by_ds(integrated, ts30):
+    p = assemble_standard(integrated)
+    n, pg, qg = integrated.n_bus, p.var_slices["pg"].start, p.var_slices["qg"].start
+    bus_owner = np.full(n, -1)
+    for ds, own in integrated.meta["ds_buses"].items():
+        bus_owner[[integrated.bus_index(b) for b in own]] = ds
+    gen_owner = np.full(integrated.n_gen, -1)
+    for ds, gens in integrated.meta["dg_map"].items():
+        gen_owner[gens] = ds
+    # the PCC buses stay with the TS
+    pcc = [integrated.bus_index(t) for c in integrated.pcc_map.values() for _, t in c]
+    assert np.all(bus_owner[pcc] == -1)
+    assert np.array_equal(p.col_owner[:n], bus_owner)
+    assert np.array_equal(p.col_owner[n : 2 * n], bus_owner)
+    assert np.array_equal(p.col_owner[pg:qg], gen_owner)
+    assert np.array_equal(p.col_owner[qg:], gen_owner)
+    assert np.array_equal(p.eq_owner, np.concatenate([bus_owner, bus_owner]))
+    ts = assemble_standard(ts30)
+    assert np.all(ts.col_owner == -1) and np.all(ts.eq_owner == -1)
+
+
+def test_block_solve_on_the_integrated_standard_opf(integrated, kkt_systems):
+    sol = solve_nlp(_with_dg_charts(integrated))
+    assert sol.optimal and len(kkt_systems) >= sol.iterations > 5
+    for i, rec in enumerate(kkt_systems):
+        # three DS blocks and the TS; one PCC touches its theta, vm and two balance rows
+        assert len(rec["blocks"].parts) == 4 and rec["touch"] == [4, 8, 8]
+        residual, to_dense = newton_errors(rec)
+        assert residual <= 1e-12
+        # late iterates are too ill-conditioned for two solves to agree closely
+        if i < 3:
+            assert to_dense <= 1e-10
+
+
+def test_one_block_problem_matches_the_dense_solve(toy3, kkt_systems):
+    sol = solve_standard(toy3)
+    assert sol.optimal and len(kkt_systems) >= sol.iterations
+    for rec in kkt_systems:
+        assert len(rec["blocks"].parts) == 1
+        residual, to_dense = newton_errors(rec)
+        assert residual <= 1e-12 and to_dense <= 1e-12
+
+
+def test_a_branch_between_two_ds_is_refused(integrated):
+    b1, b2 = integrated.meta["ds_buses"][1][0], integrated.meta["ds_buses"][2][0]
+    tie = dataclasses.replace(integrated.branches[-1], from_bus=b1, to_bus=b2)
+    case = dataclasses.replace(integrated, branches=[*integrated.branches, tie])
+    with pytest.raises(ValueError, match="joins the buses of two DSs"):
+        assemble_standard(case)
+
+
+def test_a_linear_row_across_two_owners_is_refused(integrated):
+    p = assemble_standard(integrated)
+    pg = p.var_slices["pg"].start
+    row = np.zeros((1, p.n))
+    row[0, [pg + integrated.meta["dg_map"][1][0], pg + integrated.meta["dg_map"][2][0]]] = 1.0
+    append_linear_inequalities(p, row, np.ones(1))
+    with pytest.raises(ValueError, match="linear row spans the columns of two owners"):
         solve_nlp(p)
 
 

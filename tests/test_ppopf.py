@@ -12,7 +12,7 @@ from gridveil.netmodel import CostPoly, rectangle_chart
 from gridveil.ppopf import assemble_pp, solve_pp, verify_dispatch
 from gridveil.surrogate import PolytopeModel, QuadraticModel
 
-from oracles import fd_jacobian, rel_err
+from oracles import fd_jacobian, newton_errors, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +422,26 @@ def test_verify_names_the_cap_and_the_worst_limit(integrated, pp_sol, quick_bund
         assert re.search(r"worst rating: (TS|DS \d) branch \d+-\d+ at ", rep.message)
     if all(lim.ok for lim in lims):
         assert rep.message.endswith("no voltage band or rating is broken at the last iterate")
+
+
+def test_verification_newton_systems_by_blocks(integrated, pp_sol, quick_bundles, kkt_systems):
+    rep = verify_dispatch(integrated, pp_sol, quick_bundles)
+    assert rep.feasible_true and len(kkt_systems) >= rep.iterations > 5
+    for i, rec in enumerate(kkt_systems):
+        assert len(rec["blocks"].parts) == 4 and rec["touch"] == [4, 8, 8]
+        residual, to_dense = newton_errors(rec)
+        assert residual <= 1e-12
+        if i < 3:
+            assert to_dense <= 1e-10
+
+
+def test_pp_problem_is_one_block(problem, pp_sol, kkt_systems):
+    sol = solve_pp(problem)
+    assert sol.iterations == pp_sol.iterations and sol.objective == pp_sol.objective
+    for rec in kkt_systems:
+        assert len(rec["blocks"].parts) == 1
+        residual, to_dense = newton_errors(rec)
+        assert residual <= 1e-12 and to_dense <= 1e-12
 
 
 def test_verify_requires_optimal_input(integrated, pp_sol, quick_bundles):
