@@ -405,7 +405,7 @@ class NlpOptions:
 class OpfSolution:
     x: np.ndarray
     objective: float
-    status: str  # optimal | iteration_limit | infeasible
+    status: str  # optimal | iteration_limit (stopped at the cap) | infeasible (a breakdown)
     iterations: int
     solve_time: float
     constraint_violation: float
@@ -574,11 +574,12 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     step, takes the next step of one regularization ladder on the whole
     system.  Bound slacks and multipliers count in the convergence tests
     like those of the user rows; a pinned column's stationarity does not,
-    as its multiplier is free.  Failure to reduce the residuals within the
-    iteration cap yields iteration_limit, or infeasible when the final
-    violation is far above tolerance; either way the message names the cap
-    and the last residuals.  A problem needs at least one
-    inequality row or finite bound, for its barrier.
+    as its multiplier is free.  A solve stopped at the iteration cap is
+    iteration_limit, whatever its last violation, and its message names the
+    cap and the last residuals; infeasible is kept for a breakdown, a KKT
+    system singular beyond regularization or diverged iterates, named in
+    the message.  A problem needs at least one inequality row or finite
+    bound, for its barrier.
     """
     opts = opts or NlpOptions()
     t0 = time.perf_counter()
@@ -699,7 +700,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     violation = float(max(np.max(np.abs(g)) if neq else 0.0, np.max(h), 0.0))
     if converged:
         status = "optimal"
-    elif violation > 100 * opts.feastol or message:
+    elif message:
         status = "infeasible"
     else:
         status = "iteration_limit"

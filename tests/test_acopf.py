@@ -260,7 +260,7 @@ def test_a_linear_row_across_two_owners_is_refused(integrated):
 
 def test_iteration_cap_is_named(toy3):
     sol = solve_standard(toy3, NlpOptions(max_iter=2))
-    assert not sol.optimal and sol.iterations == 2
+    assert sol.status == "iteration_limit" and sol.iterations == 2
     assert sol.message.startswith("stopped at the 2-iteration cap: feasibility ")
     assert "gradient" in sol.message and "complementarity" in sol.message
 

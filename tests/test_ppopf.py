@@ -444,6 +444,14 @@ def test_pp_problem_is_one_block(problem, pp_sol, kkt_systems):
         assert residual <= 1e-12 and to_dense <= 1e-12
 
 
+def test_a_capped_verification_is_an_iteration_limit(integrated, pp_sol, quick_bundles):
+    # the same dispatch verifies without the cap: stopped early, it is not infeasible
+    rep = verify_dispatch(integrated, pp_sol, quick_bundles, NlpOptions(max_iter=5))
+    assert not rep.feasible_true and rep.iterations == 5
+    assert rep.message.startswith("re-solve iteration_limit: stopped at the 5-iteration cap: ")
+    assert verify_dispatch(integrated, pp_sol, quick_bundles).feasible_true
+
+
 def test_verify_requires_optimal_input(integrated, pp_sol, quick_bundles):
     stuck = copy.deepcopy(pp_sol)
     stuck.status = "iteration_limit"
