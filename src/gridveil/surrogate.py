@@ -82,15 +82,6 @@ def _max_node(model: PolytopeModel, x: np.ndarray):
     return k, f
 
 
-def nn_forward(model: PolytopeModel, x: np.ndarray):
-    """(f, y) for one point or a batch: f = max(Wx + b), y = sigmoid(f)."""
-    _, f = _max_node(model, np.atleast_2d(x))
-    y = 1.0 / (1.0 + np.exp(-np.clip(f, -F_CLAMP, F_CLAMP)))
-    if np.ndim(x) == 1:
-        return float(f[0]), float(y[0])
-    return f, y
-
-
 def classify(model: PolytopeModel, x: np.ndarray):
     """0 (feasible) iff max(a_fr . x - b_fr) <= 0, else 1; batch-aware."""
     _, f = _max_node(model, np.atleast_2d(x))

@@ -5,7 +5,8 @@ formulas, not by importing package internals: backward/forward-sweep power
 flow for radial feeders, ray-crossing polygon membership, per-branch 2x2
 admittance stamping, MATPOWER's dense-matrix OPF derivatives, a brute-force
 grid optimizer for a 3-bus OPF, the interior-point Newton system formed and
-solved as one dense matrix, and finite-difference derivative checks.
+solved as one dense matrix, the max-aggregator's forward pass, and
+finite-difference derivative checks.
 """
 
 from __future__ import annotations
@@ -374,6 +375,23 @@ def newton_errors(rec) -> tuple[float, float]:
     x = np.concatenate([rec["dx"][fc], rec["dlam"]])
     res = np.linalg.norm(k @ x - rhs) / np.linalg.norm(rhs)
     return float(res), float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+# ---------------------------------------------------------------------------
+# Max-aggregator forward pass
+# ---------------------------------------------------------------------------
+
+
+def nn_forward(model, x):
+    """(f, y) for one point or a batch: f = max(W x + b), y = sigmoid(f)."""
+    o = np.atleast_2d(x) @ model.w.T
+    o += model.b
+    f = o.max(axis=1)
+    with np.errstate(over="ignore"):  # exp(-f) -> inf gives y = 0, its limit
+        y = 1.0 / (1.0 + np.exp(-f))
+    if np.ndim(x) == 1:
+        return float(f[0]), float(y[0])
+    return f, y
 
 
 # ---------------------------------------------------------------------------

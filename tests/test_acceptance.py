@@ -28,13 +28,12 @@ from gridveil.surrogate import (
     export_bundle,
     fit_quadratic,
     loss_and_grad,
-    nn_forward,
     regression_metrics,
     train_fr,
     validate_bundle_dict,
 )
 
-from oracles import bfs_powerflow, brute_force_opf_3bus, fd_jacobian, rel_err
+from oracles import bfs_powerflow, brute_force_opf_3bus, fd_jacobian, nn_forward, rel_err
 
 WALL: dict[str, float] = {}
 

@@ -20,14 +20,13 @@ from gridveil.surrogate import (
     fit_quadratic,
     import_bundle,
     loss_and_grad,
-    nn_forward,
     prune_facets,
     regression_metrics,
     train_fr,
     validate_bundle_dict,
 )
 
-from oracles import fd_jacobian, rel_err
+from oracles import fd_jacobian, nn_forward, rel_err
 
 
 def toy_dataset(x, label, n_pcc=1):
