@@ -475,18 +475,12 @@ class KktBlocks:
         # flat positions of the linear rows' weights in each matrix and strip,
         # and of their entries in the (sup x sup) m_lin
         ns = len(sup)
-        bpos, bsup = _positions(self.parts[-1][0], sup)
+        _, bpos, bsup = np.intersect1d(self.parts[-1][0], sup, return_indices=True)
         self.lin = []
         for (c, _), a in zip(self.parts, self.mats):
-            pos, at = _positions(c, sup)
-            self.lin.append(
-                (
-                    _flat(pos, pos, len(a)),
-                    _flat(at, at, ns),
-                    _flat(pos, bpos, width),
-                    _flat(at, bsup, ns),
-                )
-            )
+            _, pos, at = np.intersect1d(c, sup, return_indices=True)
+            diag = _flat(pos, pos, len(a)), _flat(at, at, ns)
+            self.lin.append((*diag, _flat(pos, bpos, width), _flat(at, bsup, ns)))
         self.m_diag = [None] * len(self.parts)
         self.touch = [None] * len(self.strips)
 
@@ -540,12 +534,6 @@ class KktBlocks:
         for (c, e), v in zip(self.parts, sol):
             dx[c], dlam[e] = v[: len(c)], v[len(c) :]
         return dx, dlam
-
-
-def _positions(cols: np.ndarray, sup: np.ndarray):
-    """(positions in cols, positions in sup) of the columns that both hold."""
-    _, at_c, at_s = np.intersect1d(cols, sup, assume_unique=True, return_indices=True)
-    return at_c, at_s
 
 
 def _flat(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
@@ -652,21 +640,18 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         )
         nvec = lx + jh_t(jh, zinv * (gamma + mu * h))
 
-        step = None
         reg = 0.0
         for _ in range(7):
             try:
-                step = kkt.solve(-nvec, -g, reg)
+                dx, dlam = kkt.solve(-nvec, -g, reg)
+                if np.all(np.isfinite(dx)) and np.all(np.isfinite(dlam)):
+                    break
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None and all(np.all(np.isfinite(v)) for v in step):
-                break
-            step = None
+                pass
             reg = max(10 * reg, 1e-10)
-        if step is None:
+        else:
             message = "KKT system singular beyond regularization"
             break
-        dx, dlam = step
 
         dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
         dmu = -mu + zinv * (gamma - mu * dz)
