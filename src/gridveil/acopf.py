@@ -6,8 +6,11 @@ as equalities, squared apparent-power line limits as inequalities, operating
 ranges as box bounds, quadratic generation cost as the objective.  Its
 derivatives use the structure of the network: a branch-end flow row touches
 two buses, so its Jacobian row has two entries per coordinate and its
-Hessian is a 4x4 block scattered with np.bincount; the bus-injection
-Hessian is formed by broadcasting over Ybus, in O(n^2).
+Hessian is a 4x4 block; the bus injections, their Jacobian and their
+Hessian are computed only on the pattern of Ybus, found once per assembly,
+and the flow blocks are summed onto that pattern with np.bincount, so the
+callbacks do work in proportion to the branches, apart from filling the
+dense arrays they return.
 solve_nlp is a primal-dual interior-point method in the MATPOWER/MIPS
 mold, driven by the exact analytic Lagrangian Hessian that every problem
 supplies.  It keeps box bounds as vectors (box_bounds) rather than
@@ -30,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .netmodel import NetworkCase, PQChart
-from .powerflow import dSbus_dV
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,8 @@ class BranchSet:
     leaving i into the branch is y[r, 0] V_i + y[r, 1] V_k, so the flow is
     S = V_i conj(y[r, 0] V_i + y[r, 1] V_k).  Both ends of every rated
     branch contribute one squared-magnitude constraint row: the from-end
-    rows, then the to-end rows.
+    rows, then the to-end rows.  cols[r] holds the (theta_i, theta_k, vm_i,
+    vm_k) positions of row r in (theta, vm).
     """
 
     def __init__(self, case: NetworkCase):
@@ -64,10 +67,7 @@ class BranchSet:
         )
         lim = (tab.s_max[rated] / case.base_mva) ** 2
         self.limit_sq = np.concatenate([lim, lim])
-        # (theta_i, theta_k, vm_i, vm_k) of each row, as positions in (theta, vm)
-        n = self.n_bus
-        cols = np.concatenate([self.bus, n + self.bus], axis=1)
-        self._hess_at = (cols[:, :, None] * (2 * n) + cols[:, None, :]).ravel()
+        self.cols = np.concatenate([self.bus, self.n_bus + self.bus], axis=1)
 
     def _terms(self, v: np.ndarray):
         """Per row: V_i, S, and the far-end term P = V_i conj(y[r, 1] V_k)."""
@@ -103,12 +103,11 @@ class BranchSet:
         return h, jac
 
     def sq_hessian(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Hessian of mu . |S|^2 wrt (theta, vm), real (2n x 2n).
+        """Per row, the Hessian of mu_r |S_r|^2 over its columns cols[r]: (rows, 4, 4).
 
-        Per row, 2 Re(conj(S) d2S + dS dS^H) over (theta_i, theta_k, vm_i,
-        vm_k), weighted by mu and summed into place with np.bincount.
+        2 mu_r Re(conj(S) d2S + dS dS^H) over (theta_i, theta_k, vm_i, vm_k);
+        the caller sums the blocks into place.
         """
-        n = self.n_bus
         vi, vk, s, p = self._terms(v)
         mi, mk = np.abs(vi), np.abs(vk)
         d1 = np.concatenate(self.flow_jacobian(v), axis=1)
@@ -121,37 +120,7 @@ class BranchSet:
         d2[:, 2, 2] = 2 * np.conj(self.y[:, 0])
         d2[:, 2, 3] = d2[:, 3, 2] = p / (mi * mk)
         blk = np.real(np.conj(s)[:, None, None] * d2 + d1[:, :, None] * np.conj(d1[:, None, :]))
-        w = (2 * mu)[:, None, None] * blk
-        return np.bincount(self._hess_at, weights=w.ravel(), minlength=4 * n * n).reshape(
-            2 * n, 2 * n
-        )
-
-
-def bus_injection_hessian(
-    ybus: np.ndarray, v: np.ndarray, lam_p: np.ndarray, lam_q: np.ndarray
-) -> np.ndarray:
-    """Hessian of lam_p . Re(S(V)) + lam_q . Im(S(V)) wrt (theta, vm).
-
-    MATPOWER's d2Sbus_dV2 blocks, with every product by a diagonal matrix
-    written as a broadcast: O(n^2) on a dense Ybus.
-    """
-    n = len(v)
-    lam = lam_p - 1j * lam_q  # Re(lam^T S) reproduces both contractions
-    ibus = ybus @ v
-    a = lam * v
-    c = a[:, None] * np.conj(ybus * v[None, :])
-    d = ybus.conj().T * v[None, :]
-    e = np.conj(v)[:, None] * (d * lam[None, :])
-    e[np.diag_indices(n)] -= np.conj(v) * (d @ lam)
-    f_ = c.copy()
-    f_[np.diag_indices(n)] -= a * np.conj(ibus)
-    g = 1.0 / np.abs(v)
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = (e + f_).real
-    out[n:, :n] = -g[:, None] * (e - f_).imag  # Re(1j G (E - F))
-    out[:n, n:] = out[n:, :n].T
-    out[n:, n:] = g[:, None] * (c + c.T).real * g[None, :]
-    return out
+        return (2 * mu)[:, None, None] * blk
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +218,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     base = case.base_mva
     ybus = case.ybus
     branches = BranchSet(case)
-    kg = case.gen_incidence()
+    gbus = np.array([case.bus_index(g.bus) for g in case.generators])
     sd = np.array([complex(b.p_d, b.q_d) for b in case.buses]) / base
 
     i_th = slice(0, n)
@@ -280,6 +249,38 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     cb = np.array([g.cost.b for g in case.generators]) * base
     cc = np.array([g.cost.c for g in case.generators])
 
+    # The pattern of Ybus, made symmetric, with the whole diagonal and every
+    # rated branch's bus pair: entry k is (pr[k], pc[k]) in row-major order;
+    # the pattern is symmetric, so column-major order lists the transposes,
+    # and entry tr[k] is (pc[k], pr[k]); bus i's diagonal is entry dg[i].
+    mask = (ybus != 0) | (ybus.T != 0) | np.eye(n, dtype=bool)
+    mask[branches.bus[:, 0], branches.bus[:, 1]] = True
+    mask[branches.bus[:, 1], branches.bus[:, 0]] = True
+    pr, pc = np.nonzero(mask)
+    nnz = len(pr)
+    tr = np.lexsort((pr, pc))
+    dg = np.flatnonzero(pr == pc)
+    y_nz = ybus[pr, pc]
+    # (row, column) of every Jacobian entry: the four blocks of dS/dV on the
+    # pattern, then -1 at each generator's bus and p/q column
+    gen = np.arange(ng)
+    jac_at = (
+        np.concatenate([pr, pr, n + pr, n + pr, gbus, n + gbus]),
+        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gen, 2 * n + ng + gen]),
+    )
+    minus_one = -np.ones(2 * ng)
+    # (row, column) of every Hessian entry: the (theta, theta), (theta, vm),
+    # (vm, theta) and (vm, vm) blocks on the pattern, then the p_g diagonal;
+    # and the slot among those of each entry of a branch row's 4x4 block
+    hess_at = (
+        np.concatenate([pr, pr, n + pr, n + pr, 2 * n + gen]),
+        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gen]),
+    )
+    ends = branches.bus[:, [0, 1, 0, 1]]  # the bus of each of a row's 4 columns
+    kind = np.array([0, 0, 1, 1])  # theta or vm
+    entry = np.searchsorted(pr * n + pc, ends[:, :, None] * n + ends[:, None, :])
+    br_slot = ((2 * kind[:, None] + kind) * nnz + entry).ravel()
+
     def objective(x):
         pg = x[i_pg]
         f = float(np.sum(ca * pg**2 + cb * pg + cc))
@@ -290,33 +291,52 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     def voltages(x):
         return x[i_vm] * np.exp(1j * x[i_th])
 
+    def injections(v):
+        """a_k = V_i conj(Y_ik V_k) on the pattern, and S = V conj(Ybus V), its row sums."""
+        a = v[pr] * np.conj(y_nz * v[pc])
+        return a, np.bincount(pr, a.real, n) + 1j * np.bincount(pr, a.imag, n)
+
     def equalities(x):
         v = voltages(x)
-        s = v * np.conj(ybus @ v)
-        mis = s + sd - kg @ (x[i_pg] + 1j * x[i_qg])
-        ds_dva, ds_dvm = dSbus_dV(ybus, v)
+        a, s = injections(v)
+        vm = np.abs(v)
+        mis = s + sd - np.bincount(gbus, x[i_pg], n) - 1j * np.bincount(gbus, x[i_qg], n)
+        # MATPOWER's dSbus_dV with A = diag(V) conj(Ybus) diag(conj V):
+        # dS/dVa = j (diag(S) - A), dS/dVm = A diag(1/|V|) + diag(S/|V|)
+        d_va = -1j * a
+        d_va[dg] += 1j * s
+        d_vm = a / vm[pc]
+        d_vm[dg] += s / vm
         jac = np.zeros((2 * n, len(x)))
-        jac[:n, i_th] = ds_dva.real
-        jac[:n, i_vm] = ds_dvm.real
-        jac[:n, i_pg] = -kg
-        jac[n:, i_th] = ds_dva.imag
-        jac[n:, i_vm] = ds_dvm.imag
-        jac[n:, i_qg] = -kg
+        jac[jac_at] = np.concatenate([d_va.real, d_vm.real, d_va.imag, d_vm.imag, minus_one])
         return np.concatenate([mis.real, mis.imag]), jac
 
     def inequalities(x):
         return branches.sq_constraints(voltages(x), len(x))
 
     def lag_hess(x, sigma, lam, mu):
+        # MATPOWER's d2Sbus_dV2 on the pattern, contracted with lam_p - j lam_q
+        # (its real part gives the P and the Q rows at once): C = diag(lam V)
+        # conj(Ybus diag V), F = C - diag(lam S), and E = diag(conj V)
+        # (D diag(lam) - diag(D lam)) with D = Ybus^H diag(V)
         v = voltages(x)
-        hess = np.zeros((len(x), len(x)))
-        hb = bus_injection_hessian(ybus, v, lam[:n], lam[n:])
+        a, s = injections(v)
+        vm = np.abs(v)
+        lc = lam[:n] - 1j * lam[n:]
+        c = lc[pr] * a
+        e = lc[pc] * a[tr]
+        e[dg] -= np.bincount(pr, e.real, n) + 1j * np.bincount(pr, e.imag, n)
+        f = c.copy()
+        f[dg] -= lc * s
+        h_va = -(e - f).imag / vm[pr]
+        vals = np.concatenate(
+            [(e + f).real, h_va[tr], h_va, (c + c[tr]).real / (vm[pr] * vm[pc]), sigma * 2 * ca]
+        )
         if branches.n_rows:
-            hb += branches.sq_hessian(v, mu[: branches.n_rows])
-        hess[: 2 * n, : 2 * n] = hb
-        dpg = np.zeros(len(x))
-        dpg[i_pg] = sigma * 2 * ca
-        hess[np.diag_indices(len(x))] += dpg
+            blocks = branches.sq_hessian(v, mu[: branches.n_rows])
+            vals[: 4 * nnz] += np.bincount(br_slot, blocks.ravel(), 4 * nnz)
+        hess = np.zeros((len(x), len(x)))
+        hess[hess_at] = vals
         return hess
 
     meta = {"base_mva": base}
@@ -455,7 +475,10 @@ class KktBlocks:
     and those entries, solves the border's Schur complement, and
     back-substitutes.  K is symmetric, so a strip serves both sides of the
     border.  A problem without owners is a border alone, solved as one
-    dense system.
+    dense system.  The flat positions of every block's and strip's entries
+    in H and Jg are found once; on each form, one product of Jh's pattern
+    with the owners' indicator columns finds the Jh rows that reach each
+    block, and the border.
     """
 
     def __init__(self, problem: NlpProblem, fc: np.ndarray, neq: int, sup: np.ndarray):
@@ -481,34 +504,54 @@ class KktBlocks:
             _, pos, at = np.intersect1d(c, sup, return_indices=True)
             diag = _flat(pos, pos, len(a)), _flat(at, at, ns)
             self.lin.append((*diag, _flat(pos, bpos, width), _flat(at, bsup, ns)))
+        # flat positions in H and Jg (both n columns wide) of each block's H
+        # and Jg entries, and of its strip's: H against the border columns,
+        # the border rows of Jg transposed, and Jg against the border columns
+        n = problem.n
+        bc, be = self.parts[-1]
+        self.at = [
+            (
+                _flat(c, c, n),
+                _flat(e, c, n),
+                _flat(c, bc, n),
+                _flat(be, c, n).reshape(len(be), len(c)).T.ravel(),
+                _flat(e, bc, n),
+            )
+            for c, e in self.parts
+        ]
+        # one indicator column per block over its free columns: a Jh row
+        # reaches a block when its pattern meets that column
+        self.owner = np.zeros((n, len(self.parts)))
+        for b, (c, _) in enumerate(self.parts):
+            self.owner[c, b] = 1.0
         self.m_diag = [None] * len(self.parts)
         self.touch = [None] * len(self.strips)
 
     def form(self, hess, jg, jh, w, m_lin, d_box):
         """Fill the blocks: H, Jh^T diag(w) Jh, m_lin on sup and d_box on the diagonal."""
-        bc, be = self.parts[-1]
+        bc = self.parts[-1][0]
         nb = len(bc)
-        jh_b, jg_b = jh[:, bc], jg[be]
+        reach = (jh != 0) @ self.owner  # entries of each Jh row in each block
         m_flat = m_lin.ravel()
-        for b, ((c, e), a, (ia, im, sa, sm)) in enumerate(zip(self.parts, self.mats, self.lin)):
+        blocks = zip(self.parts, self.mats, self.lin, self.at)
+        for b, ((c, e), a, (ia, im, sa, sm), (hc, gc, hb, gb, gq)) in enumerate(blocks):
             nc = len(c)
-            jc = jh[:, c] if b < len(self.strips) else jh_b
-            rows = np.flatnonzero(jc.any(axis=1))  # the rows that reach these columns
-            jr = jc[rows]
+            rows = np.flatnonzero(reach[:, b])
+            jr = jh[np.ix_(rows, c)]
             wj = jr.T * w[rows]
-            h_c, jg_e = hess[c], jg[e]
-            a[:nc, :nc] = h_c[:, c] + wj @ jr
+            a[:nc, :nc] = hess.take(hc).reshape(nc, nc) + wj @ jr
             a.ravel()[ia] += m_flat[im]
-            a[nc:, :nc] = jg_e[:, c]
+            a[nc:, :nc] = jg.take(gc).reshape(len(e), nc)
             a[:nc, nc:] = a[nc:, :nc].T
             self.m_diag[b] = a[np.diag_indices(nc)] + d_box[c]
             if b == len(self.strips):
                 break
             s = self.strips[b]
-            s[:nc, :nb] = h_c[:, bc] + wj @ jh_b[rows]
+            both = reach[rows, -1] != 0  # the rows that reach the border too
+            s[:nc, :nb] = hess.take(hb).reshape(nc, nb) + wj[:, both] @ jh[np.ix_(rows[both], bc)]
             s.ravel()[sa] += m_flat[sm]
-            s[:nc, nb:] = jg_b[:, c].T
-            s[nc:, :nb] = jg_e[:, bc]
+            s[:nc, nb:] = jg.take(gb).reshape(nc, -1)
+            s[nc:, :nb] = jg.take(gq).reshape(len(e), nb)
             self.touch[b] = np.flatnonzero(s.any(axis=0))
 
     def solve(self, r_x: np.ndarray, r_g: np.ndarray, reg: float):

@@ -133,8 +133,9 @@ def kkt_systems(monkeypatch):
     """Every Newton system that solve_nlp forms, with the step it solved for.
 
     One record per solve of the blocks: the problem, the blocks, copies of
-    the form arguments, the right-hand side (r_x, r_g), the regularization
-    and the returned (dx, dlam).
+    the form arguments, the right-hand side (r_x, r_g), the regularization,
+    the returned (dx, dlam), and copies of the diagonal blocks (with the
+    regularized diagonal the solve wrote) and strips it solved.
     """
     records = []
     init, form, solve = KktBlocks.__init__, KktBlocks.form, KktBlocks.solve
@@ -160,6 +161,8 @@ def kkt_systems(monkeypatch):
                 dx=step[0],
                 dlam=step[1],
                 touch=[len(t) for t in self.touch],
+                mats=[a.copy() for a in self.mats],
+                strips=[s.copy() for s in self.strips],
             )
         )
         return step

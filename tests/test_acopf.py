@@ -10,17 +10,17 @@ from gridveil.acopf import (
     append_linear_inequalities,
     assemble_polygon_extension,
     assemble_standard,
-    bus_injection_hessian,
     kkt_report,
     solve_nlp,
     solve_standard,
 )
-from gridveil.netmodel import CostPoly, polygon_from_vertices
-from gridveil.powerflow import newton_pf
+from gridveil.netmodel import CostPoly, Generator, polygon_from_vertices
+from gridveil.powerflow import dSbus_dV, newton_pf
 
 from oracles import (
     dense_bus_injection_hessian,
     dense_flow_jacobian,
+    dense_kkt_step,
     dense_sq_hessian,
     fd_jacobian,
     newton_errors,
@@ -72,28 +72,74 @@ def _random_state(case, rng):
     return rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.3, 0.3, n))
 
 
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _expand_hessian(rows, blocks):
+    """Dense (2 n_bus x 2 n_bus) sum of per-row 4x4 blocks at the rows' columns."""
+    n2 = 2 * rows.n_bus
+    dense = np.zeros((n2, n2))
+    np.add.at(dense, (rows.cols[:, :, None], rows.cols[:, None, :]), blocks)
+    return dense
+
+
 @pytest.mark.parametrize("name", ["ts30", "ds2", "ieee33", "integrated"])
 def test_structured_derivatives_match_dense_formulas(name, request, rng):
     case = request.getfixturevalue(name)
     rows = BranchSet(case)
     yb, cidx = stamp_branch_rows(case)
     assert np.array_equal(_expand(rows, rows.y), yb)
-    n = case.n_bus
-
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     for _ in range(3):
         v = _random_state(case, rng)
         mu = rng.uniform(0.0, 1.0, rows.n_rows)
-        lam_p, lam_q = rng.normal(size=n), rng.normal(size=n)
         for got, want in zip(rows.flow_jacobian(v), dense_flow_jacobian(yb, cidx, v)):
-            assert close(_expand(rows, got), want)
-        assert close(rows.sq_hessian(v, mu), dense_sq_hessian(yb, cidx, v, mu))
-        assert close(
-            bus_injection_hessian(case.ybus, v, lam_p, lam_q),
-            dense_bus_injection_hessian(case.ybus, v, lam_p, lam_q),
-        )
+            assert _close(_expand(rows, got), want)
+        got = _expand_hessian(rows, rows.sq_hessian(v, mu))
+        assert _close(got, dense_sq_hessian(yb, cidx, v, mu))
+
+
+@pytest.fixture()
+def ds2_variant(ds2):
+    """ds2 with its last branch out of service and branch 5 doubled in parallel."""
+    branches = list(ds2.branches)
+    branches[-1] = dataclasses.replace(branches[-1], status=0)
+    return dataclasses.replace(ds2, branches=[*branches, branches[5]])
+
+
+@pytest.mark.parametrize("name", ["ts30", "ds2", "ieee33", "integrated", "ds2_variant"])
+def test_pattern_callbacks_match_dense_formulas(name, request, rng):
+    """equalities' Jacobian is dSbus_dV and -gen_incidence, and lag_hess is the
+    dense bus-injection and flow-limit Hessians plus the cost diagonal."""
+    case = request.getfixturevalue(name)
+    if not case.generators:  # ieee33 is a feeder without generation
+        slack = Generator(case.slack_buses()[0], 0.0, 10.0, -10.0, 10.0, CostPoly(0.01, 20.0))
+        case = dataclasses.replace(case, generators=[slack])
+    problem = assemble_standard(case)
+    n, ng = case.n_bus, case.n_gen
+    rows = BranchSet(case)
+    yb, cidx = stamp_branch_rows(case)
+    kg = case.gen_incidence()
+    pg = np.arange(2 * n, 2 * n + ng)
+    cost_a = np.array([g.cost.a for g in case.generators]) * case.base_mva**2
+    for _ in range(3):
+        v = _random_state(case, rng)
+        x = np.concatenate([np.angle(v), np.abs(v), rng.normal(size=2 * ng)])
+        ds_dva, ds_dvm = dSbus_dV(case.ybus, v)
+        want = np.zeros((2 * n, problem.n))
+        want[:, : 2 * n] = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
+        want[:n, pg] = want[n:, pg + ng] = -kg
+        assert _close(problem.eq(x)[1], want)
+
+        lam, sigma = rng.normal(size=2 * n), rng.uniform(0.5, 2.0)
+        mu = rng.uniform(0.0, 1.0, rows.n_rows)
+        want = np.zeros((problem.n, problem.n))
+        want[: 2 * n, : 2 * n] = dense_bus_injection_hessian(
+            case.ybus, v, lam[:n], lam[n:]
+        ) + dense_sq_hessian(yb, cidx, v, mu)
+        want[pg, pg] += sigma * 2 * cost_a
+        assert _close(problem.lag_hess(x, sigma, lam, mu), want)
 
 
 def test_equality_residual_counts(toy3):
@@ -229,6 +275,27 @@ def test_block_solve_on_the_integrated_standard_opf(integrated, kkt_systems):
         # late iterates are too ill-conditioned for two solves to agree closely
         if i < 3:
             assert to_dense <= 1e-10
+
+
+def test_formed_blocks_are_the_parts_of_the_dense_newton_system(integrated, kkt_systems):
+    sol = solve_nlp(_with_dg_charts(integrated))
+    assert sol.optimal and len(kkt_systems) >= sol.iterations > 5
+    for rec in kkt_systems:
+        assert rec["touch"] == [4, 8, 8]
+        args = (*rec["form"], rec["r_x"], rec["r_g"], rec["reg"])
+        k, _, _, fc = dense_kkt_step(rec["problem"], *args)
+        at = [np.concatenate([np.searchsorted(fc, c), len(fc) + e]) for c, e in rec["blocks"].parts]
+        covered = np.zeros(k.shape, dtype=bool)
+        for b, (a, idx) in enumerate(zip(rec["mats"], at)):
+            part = k[np.ix_(idx, idx)]
+            assert np.max(np.abs(a - part)) <= 1e-13 * np.max(np.abs(part))
+            covered[np.ix_(idx, idx)] = True
+            if b < len(rec["strips"]):
+                part = k[np.ix_(idx, at[-1])]
+                assert np.max(np.abs(rec["strips"][b] - part)) <= 1e-13 * np.max(np.abs(part))
+                covered[np.ix_(idx, at[-1])] = covered[np.ix_(at[-1], idx)] = True
+        # no entry of K lies outside the blocks and their strips
+        assert not np.any(k[~covered])
 
 
 def test_one_block_problem_matches_the_dense_solve(toy3, kkt_systems):
