@@ -100,7 +100,6 @@ class Split:
             return call
 
         wrapped = {n: recording(n, getattr(problem, n)) for n in CALLBACKS if getattr(problem, n)}
-        self.systems = []
         sol = SOLVE_NLP(dataclasses.replace(problem, **wrapped), opts)
         row = {
             "kind": KINDS[len(self.rows)] if len(self.rows) < len(KINDS) else len(self.rows),
