@@ -263,18 +263,18 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
     y_nz = ybus[pr, pc]
     # (row, column) of every Jacobian entry: the four blocks of dS/dV on the
     # pattern, then -1 at each generator's bus and p/q column
-    gen = np.arange(ng)
+    gens = np.arange(ng)
     jac_at = (
         np.concatenate([pr, pr, n + pr, n + pr, gbus, n + gbus]),
-        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gen, 2 * n + ng + gen]),
+        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gens, 2 * n + ng + gens]),
     )
     minus_one = -np.ones(2 * ng)
     # (row, column) of every Hessian entry: the (theta, theta), (theta, vm),
     # (vm, theta) and (vm, vm) blocks on the pattern, then the p_g diagonal;
     # and the slot among those of each entry of a branch row's 4x4 block
     hess_at = (
-        np.concatenate([pr, pr, n + pr, n + pr, 2 * n + gen]),
-        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gen]),
+        np.concatenate([pr, pr, n + pr, n + pr, 2 * n + gens]),
+        np.concatenate([pc, n + pc, pc, n + pc, 2 * n + gens]),
     )
     ends = branches.bus[:, [0, 1, 0, 1]]  # the bus of each of a row's 4 columns
     kind = np.array([0, 0, 1, 1])  # theta or vm
