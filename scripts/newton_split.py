@@ -3,15 +3,19 @@
 
 Runs operation --trial of the perfbench tso-dispatch workload at --seed (the
 standard AC-OPF on the integrated network with its DG charts, the
-privacy-preserving OPF and the verification re-solve) once, with one BLAS
-thread, and records the arguments of every call of the problem callbacks
-(objective, equalities, inequalities, lag_hess) and of every
-``KktBlocks.form`` and ``KktBlocks.solve``.  Each recorded call is then
+privacy-preserving OPF and the verification re-solve) twice, with one BLAS
+thread.  The first run is timed as it is.  The second records the arguments
+of every call of the problem callbacks (objective, equalities,
+inequalities, lag_hess: values on their patterns) and of every
+``KktBlocks.form`` (the H, Jg and Jh values, the row weights and the
+bounds' diagonal) and ``KktBlocks.solve``.  Each recorded call is then
 repeated --reps times and its fastest repetition kept.  One JSON line per
 solve gives its status, iterations, Newton system size and, in ms, the
 median over its calls of each callback, their sum (callbacks_ms: one call
-of each is made per iteration), and the median of form and of solve (every
-solve call, regularization attempts included):
+of each is made per iteration), the median of form and of solve (every
+solve call, regularization attempts included), the first run's
+solve_time per iteration (iter_ms), and what that leaves for the solver's
+own loop (other_ms = iter_ms - callbacks_ms - form_ms - solve_ms):
 
     python scripts/newton_split.py --seed 5 --trial 0 --reps 15
 
@@ -76,8 +80,9 @@ def copied(args) -> list:
 class Split:
     """Stands in for solve_nlp: solves as usual, then replays what it recorded."""
 
-    def __init__(self, reps: int):
+    def __init__(self, reps: int, timed: list):
         self.reps = reps
+        self.timed = timed  # the same solves, run unrecorded
         self.rows = []
         self.systems = []  # per form: (blocks, form args, [solve args])
 
@@ -122,6 +127,10 @@ class Split:
             solves += [best_ms(SOLVE, (blocks, *a), self.reps) for a in solve_args]
         row["form_ms"] = statistics.median(forms) if forms else 0.0
         row["solve_ms"] = statistics.median(solves) if solves else 0.0
+        plain = self.timed[len(self.rows)]
+        if plain.iterations:
+            row["iter_ms"] = 1e3 * plain.solve_time / plain.iterations
+            row["other_ms"] = row["iter_ms"] - row["callbacks_ms"] - row["form_ms"] - row["solve_ms"]
         self.rows.append({k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()})
         self.systems = []
         return sol
@@ -136,7 +145,18 @@ def main(argv=None) -> int:
     dispatch = Dispatch()
     with tempfile.TemporaryDirectory() as workdir:
         state = dispatch.setup(args.seed, workdir)
-    split = Split(args.reps)
+    timed = []
+
+    def plain(problem, opts=None):
+        timed.append(SOLVE_NLP(problem, opts))
+        return timed[-1]
+
+    acopf.solve_nlp = ppopf.solve_nlp = plain
+    try:
+        dispatch.op(state, args.trial)
+    finally:
+        acopf.solve_nlp = ppopf.solve_nlp = SOLVE_NLP
+    split = Split(args.reps, timed)
     acopf.solve_nlp = ppopf.solve_nlp = split
     # plain functions, so that the blocks bind as the first argument
     acopf.KktBlocks.form = lambda blocks, *a: split.form(blocks, *a)

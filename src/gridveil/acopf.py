@@ -3,22 +3,23 @@
 assemble_standard builds the full nonlinear program for a transmission or
 integrated case over x = (theta, vm, p_g, q_g) in per unit: bus power balance
 as equalities, squared apparent-power line limits as inequalities, operating
-ranges as box bounds, quadratic generation cost as the objective.  Its
-derivatives use the structure of the network: a branch-end flow row touches
+ranges as box bounds, quadratic generation cost as the objective.  Every
+derivative is returned as values on a sparsity pattern declared at
+assembly (NlpProblem), as MATPOWER's MIPS callbacks return sparse
+matrices.  The patterns follow the network: a branch-end flow row touches
 two buses, so its Jacobian row has two entries per coordinate and its
 Hessian is a 4x4 block; the bus injections, their Jacobian and their
-Hessian are computed only on the pattern of Ybus, found once per assembly,
-and the flow blocks are summed onto that pattern with np.bincount, so the
-callbacks do work in proportion to the branches, apart from filling the
-dense arrays they return.
+Hessian live on the pattern of Ybus, and the flow blocks are summed onto
+it with np.bincount, so the callbacks do work in proportion to the
+branches.
 solve_nlp is a primal-dual interior-point method in the MATPOWER/MIPS
 mold, driven by the exact analytic Lagrangian Hessian that every problem
 supplies.  It keeps box bounds as vectors (box_bounds) rather than
-constraint rows, holds a column with lb == ub at its bound, and works on
-constant linear rows only over the columns they touch.  Its Newton system
-is formed and solved by owner blocks (KktBlocks): on an integrated case,
-one dense block per DS, bordered by the TS, whose Schur complement joins
-them.
+constraint rows, holds a column with lb == ub at its bound, and takes its
+products with the derivative values on their patterns.  Its Newton system
+is formed from those values and solved by owner blocks (KktBlocks): on an
+integrated case, one dense block per DS, bordered by the TS, whose Schur
+complement joins them; the coupled OPF has one block per DS's DGs.
 
 The privacy-preserving formulation (see the ppopf module) is this standard
 problem over the transmission case, extended by surrogate blocks.
@@ -87,20 +88,12 @@ class BranchSet:
         ds_dvm = np.stack([2 * np.conj(self.y[:, 0]) * mi + p / mi, p / np.abs(vk)], axis=1)
         return ds_dva, ds_dvm
 
-    def sq_constraints(self, v: np.ndarray, width: int):
-        """h = |S|^2 - limit^2 and its Jacobian (rows x width), theta then vm columns."""
-        n = self.n_bus
+    def sq_constraints(self, v: np.ndarray):
+        """h = |S|^2 - limit^2 and its Jacobian values at cols: (rows, 4)."""
         s = self._terms(v)[2]
         h = s.real**2 + s.imag**2 - self.limit_sq
-        ds_dva, ds_dvm = self.flow_jacobian(v)
-        jac = np.zeros((self.n_rows, width))
-        r = np.arange(self.n_rows)
-        # two writes per row: a branch whose ends share a bus adds up
-        for off, ds in ((0, ds_dva), (n, ds_dvm)):
-            d = 2 * np.real(np.conj(s)[:, None] * ds)
-            jac[r, off + self.bus[:, 0]] = d[:, 0]
-            jac[r, off + self.bus[:, 1]] += d[:, 1]
-        return h, jac
+        ds = np.concatenate(self.flow_jacobian(v), axis=1)
+        return h, 2 * np.real(np.conj(s)[:, None] * ds)
 
     def sq_hessian(self, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Per row, the Hessian of mu_r |S_r|^2 over its columns cols[r]: (rows, 4, 4).
@@ -128,21 +121,30 @@ class BranchSet:
 # ---------------------------------------------------------------------------
 
 
+def _no_entries():
+    return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+
+
 @dataclass
 class NlpProblem:
-    """min f(x) s.t. g(x)=0, h(x)<=0, a_lin x <= b_lin, lb<=x<=ub.
+    """min f(x) s.t. g(x)=0, h(x)<=0, A x <= b_lin, lb<=x<=ub.
 
-    objective(x) -> (f, grad); equalities/inequalities(x) -> (values, dense
-    Jacobian) of the smooth rows; lag_hess(x, sigma, lam, mu) -> sigma*d2f +
-    d2g.lam + d2h.mu, where mu's leading entries belong to the inequalities
-    rows and any further ones (linear rows) carry no curvature.  The linear
-    rows a_lin x <= b_lin are constant data.  var_slices names the blocks of
-    x for unpacking and reporting.
+    Every derivative other than the gradient is a vector of values on a
+    pattern fixed at assembly: a COO pair (rows, cols) of index arrays, in
+    which an entry may repeat and repeats sum.  objective(x) -> (f, grad);
+    equalities(x) and inequalities(x) -> (row values, Jacobian values in
+    the order of eq_at and ineq_at); lag_hess(x, sigma, lam, mu) -> the
+    values in hess_at's order of sigma*d2f + d2g.lam + d2h.mu, with mu over
+    the inequalities rows (the linear rows, which may follow in mu, carry
+    no curvature).  hess_at lists both triangles.  The linear rows A x <=
+    b_lin are constant data on a pattern of their own: lin_at, its rows
+    numbered from 0, and lin_val.  var_slices names the blocks of x for
+    unpacking and reporting.
 
     col_owner and eq_owner partition the columns and the equality rows: -1
-    is the border, and any other owner is a block whose derivatives and
-    linear rows meet no other owner's columns or rows, only the border's.
-    None puts everything in the border, as one block.
+    is the border, and any other owner is a block whose rows and Hessian
+    entries meet no other owner's columns, only the border's.  None puts
+    everything in the border, as one block.
     """
 
     x0: np.ndarray
@@ -150,18 +152,18 @@ class NlpProblem:
     ub: np.ndarray
     objective: Callable
     lag_hess: Callable
+    hess_at: tuple
     equalities: Callable | None = None
+    eq_at: tuple = field(default_factory=_no_entries)
     inequalities: Callable | None = None
+    ineq_at: tuple = field(default_factory=_no_entries)
     var_slices: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    a_lin: np.ndarray | None = None
-    b_lin: np.ndarray | None = None
+    lin_at: tuple = field(default_factory=_no_entries)
+    lin_val: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    b_lin: np.ndarray = field(default_factory=lambda: np.zeros(0))
     col_owner: np.ndarray | None = None
     eq_owner: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.a_lin is None:
-            self.a_lin, self.b_lin = np.zeros((0, self.n)), np.zeros(0)
 
     @property
     def n(self) -> int:
@@ -169,27 +171,34 @@ class NlpProblem:
 
     def eq(self, x):
         if self.equalities is None:
-            return np.zeros(0), np.zeros((0, self.n))
+            return np.zeros(0), np.zeros(0)
         return self.equalities(x)
 
     def nonlinear_ineq(self, x):
         """The inequalities rows alone, without the linear ones."""
         if self.inequalities is None:
-            return np.zeros(0), np.zeros((0, self.n))
+            return np.zeros(0), np.zeros(0)
         return self.inequalities(x)
 
     def ineq(self, x):
-        """Every inequality row: the nonlinear ones, then the linear ones."""
+        """Every inequality row, the nonlinear ones then the linear ones, and
+        the Jacobian values of both: ineq_at's, then lin_val."""
         h, jh = self.nonlinear_ineq(x)
-        if not len(self.b_lin):
-            return h, jh
-        return np.concatenate([h, self.a_lin @ x - self.b_lin]), np.vstack([jh, self.a_lin])
+        rows, cols = self.lin_at
+        a_x = np.bincount(rows, self.lin_val * x[cols], len(self.b_lin))
+        return np.concatenate([h, a_x - self.b_lin]), np.concatenate([jh, self.lin_val])
 
 
-def append_linear_inequalities(problem: NlpProblem, a_new: np.ndarray, b_new: np.ndarray):
-    """Extend problem with rows a_new @ x <= b_new (in place, returns problem)."""
-    problem.a_lin = np.vstack([problem.a_lin, a_new])
-    problem.b_lin = np.concatenate([problem.b_lin, b_new])
+def append_linear_inequalities(problem: NlpProblem, at: tuple, val: np.ndarray, b: np.ndarray):
+    """Extend problem with rows A x <= b, A given by values val on the pattern
+    at, its rows numbered from 0 (in place, returns problem)."""
+    rows, cols = problem.lin_at
+    problem.lin_at = (
+        np.concatenate([rows, len(problem.b_lin) + np.asarray(at[0], dtype=int)]),
+        np.concatenate([cols, np.asarray(at[1], dtype=int)]),
+    )
+    problem.lin_val = np.concatenate([problem.lin_val, val])
+    problem.b_lin = np.concatenate([problem.b_lin, b])
     return problem
 
 
@@ -203,9 +212,9 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
 
     Equalities: active/reactive balance at every bus, plus the angle
     reference (slack theta pinned through an equal-bound box).  Inequalities:
-    squared apparent-power limits at both ends of every rated branch.
-    Callbacks size their outputs by len(x), so columns a caller appends
-    after this block read zero in every gradient, Jacobian and Hessian.
+    squared apparent-power limits at both ends of every rated branch.  The
+    gradient is sized by len(x), and the patterns name only this block's
+    columns, so a caller may append columns after it.
     An integrated case is partitioned by DS (``meta["ds_buses"]`` and
     ``["dg_map"]``): a DS owns the theta/vm columns and balance rows of its
     own buses and the p/q columns of its DGs; the TS, its PCC buses
@@ -307,12 +316,12 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         d_va[dg] += 1j * s
         d_vm = a / vm[pc]
         d_vm[dg] += s / vm
-        jac = np.zeros((2 * n, len(x)))
-        jac[jac_at] = np.concatenate([d_va.real, d_vm.real, d_va.imag, d_vm.imag, minus_one])
+        jac = np.concatenate([d_va.real, d_vm.real, d_va.imag, d_vm.imag, minus_one])
         return np.concatenate([mis.real, mis.imag]), jac
 
     def inequalities(x):
-        return branches.sq_constraints(voltages(x), len(x))
+        h, jac = branches.sq_constraints(voltages(x))
+        return h, jac.ravel()
 
     def lag_hess(x, sigma, lam, mu):
         # MATPOWER's d2Sbus_dV2 on the pattern, contracted with lam_p - j lam_q
@@ -335,9 +344,7 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         if branches.n_rows:
             blocks = branches.sq_hessian(v, mu[: branches.n_rows])
             vals[: 4 * nnz] += np.bincount(br_slot, blocks.ravel(), 4 * nnz)
-        hess = np.zeros((len(x), len(x)))
-        hess[hess_at] = vals
-        return hess
+        return vals
 
     meta = {"base_mva": base}
     if "dg_map" in case.meta:
@@ -364,6 +371,9 @@ def assemble_standard(case: NetworkCase) -> NlpProblem:
         equalities=equalities,
         inequalities=inequalities,
         lag_hess=lag_hess,
+        hess_at=hess_at,
+        eq_at=jac_at,
+        ineq_at=(np.repeat(np.arange(branches.n_rows), 4), branches.cols.ravel()),
         var_slices={"theta": i_th, "vm": i_vm, "pg": i_pg, "qg": i_qg},
         meta=meta,
         col_owner=np.concatenate([bus_owner, bus_owner, gen_owner, gen_owner]),
@@ -384,24 +394,23 @@ def assemble_polygon_extension(problem: NlpProblem, charts: list[PQChart]) -> Nl
         return problem
     p_cols = [problem.var_slices["pg"].start + g for g in dg_gens]
     q_cols = [problem.var_slices["qg"].start + g for g in dg_gens]
-    a, b = chart_rows(charts, p_cols, q_cols, problem.n, scale=problem.meta["base_mva"])
-    return append_linear_inequalities(problem, a, b)
+    return append_linear_inequalities(
+        problem, *chart_rows(charts, p_cols, q_cols, scale=problem.meta["base_mva"])
+    )
 
 
-def chart_rows(charts: list[PQChart], p_cols, q_cols, n: int, scale: float = 1.0):
+def chart_rows(charts: list[PQChart], p_cols, q_cols, scale: float = 1.0):
     """Facet rows a_pq . (x[p_col], x[q_col]) * scale <= b_pq, chart by chart.
 
-    Chart k constrains columns (p_cols[k], q_cols[k]) of an n-column problem;
-    scale converts the variables to the chart's MW/MVAr.
+    Chart k constrains columns (p_cols[k], q_cols[k]); scale converts the
+    variables to the chart's MW/MVAr.  Returns (pattern, values, b), two
+    entries per row.
     """
-    a = np.zeros((sum(len(c.b_pq) for c in charts), n))
-    row = 0
-    for chart, ip, iq in zip(charts, p_cols, q_cols):
-        rows = slice(row, row + len(chart.b_pq))
-        a[rows, ip] = chart.a_pq[:, 0] * scale
-        a[rows, iq] = chart.a_pq[:, 1] * scale
-        row = rows.stop
-    return a, np.concatenate([c.b_pq for c in charts])
+    a = np.concatenate([c.a_pq for c in charts]) * scale
+    k = np.repeat(np.arange(len(charts)), [len(c.b_pq) for c in charts])
+    cols = np.stack([np.asarray(p_cols)[k], np.asarray(q_cols)[k]], axis=1)
+    at = (np.repeat(np.arange(len(a)), 2), cols.ravel())
+    return at, a.ravel(), np.concatenate([c.b_pq for c in charts])
 
 
 # ---------------------------------------------------------------------------
@@ -467,92 +476,175 @@ class KktBlocks:
     """The Newton system of solve_nlp, formed and solved by owner blocks.
 
     The system is K = [[M, Jg^T], [Jg, 0]] over the free columns and the
-    equality rows, with M = H + Jh^T W Jh plus the linear rows' and bounds'
-    weights.  Ordered by owner it is bordered block-diagonal: each owner's
-    block meets only the border (owner -1), through the few border entries
-    it touches.  form writes the diagonal blocks and each block's strip of
-    the border; solve eliminates each block against its right-hand side
-    and those entries, solves the border's Schur complement, and
-    back-substitutes.  K is symmetric, so a strip serves both sides of the
-    border.  A problem without owners is a border alone, solved as one
-    dense system.  The flat positions of every block's and strip's entries
-    in H and Jg are found once; on each form, one product of Jh's pattern
-    with the owners' indicator columns finds the Jh rows that reach each
-    block, and the border.
+    equality rows, with M = H + Jh^T W Jh plus the bounds' weights, where
+    Jh stacks the inequalities rows and the linear rows.  Ordered by owner
+    it is bordered block-diagonal: each owner's block meets only the border
+    (owner -1), through the few border entries it touches.  form writes the
+    diagonal blocks and each block's strip of the border; solve eliminates
+    each block against its right-hand side and those entries, solves the
+    border's Schur complement, and back-substitutes.  K is symmetric, so a
+    strip serves both sides of the border.  A problem without owners is a
+    border alone, solved as one dense system.
+
+    Everything is placed once, from the problem's patterns: the flat
+    position in a block or a strip of each distinct H and Jg entry, the
+    border entries each strip touches, and the group of each row of Jh, the
+    block whose columns it touches (the border if none).  A group's rows
+    are one dense matrix over its block's columns and the border columns
+    they touch; the linear rows are written into it once, the inequalities
+    rows on each form, which then adds the group's Jh^T W Jh with one
+    product.  A row or Hessian entry that joins two blocks' columns would
+    lose its cross terms, so it is refused here.
     """
 
-    def __init__(self, problem: NlpProblem, fc: np.ndarray, neq: int, sup: np.ndarray):
-        col_owner = np.full(problem.n, -1) if problem.col_owner is None else problem.col_owner
+    def __init__(self, problem: NlpProblem, fc: np.ndarray, neq: int, nnl: int):
+        n = problem.n
+        col_owner = np.full(n, -1) if problem.col_owner is None else problem.col_owner
         eq_owner = np.full(neq, -1) if problem.eq_owner is None else problem.eq_owner
         owners = sorted((set(col_owner[fc]) | set(eq_owner)) - {-1})
-        lin = np.where(problem.a_lin[:, sup] != 0, col_owner[sup], -1)
-        if np.any((lin >= 0) & (lin != lin.max(axis=1, initial=-1)[:, None])):
-            raise ValueError("a linear row spans the columns of two owners")
         # (free columns, equality rows) of each owner, the border last
         self.parts = [
             (fc[col_owner[fc] == o], np.flatnonzero(eq_owner == o)) for o in (*owners, -1)
         ]
         self.mats = [np.zeros((len(c) + len(e),) * 2) for c, e in self.parts]
+        border = len(self.parts) - 1
         width = len(self.mats[-1])
         self.strips = [np.zeros((len(a), width)) for a in self.mats[:-1]]
-        # flat positions of the linear rows' weights in each matrix and strip,
-        # and of their entries in the (sup x sup) m_lin
-        ns = len(sup)
-        _, bpos, bsup = np.intersect1d(self.parts[-1][0], sup, return_indices=True)
-        self.lin = []
-        for (c, _), a in zip(self.parts, self.mats):
-            _, pos, at = np.intersect1d(c, sup, return_indices=True)
-            diag = _flat(pos, pos, len(a)), _flat(at, at, ns)
-            self.lin.append((*diag, _flat(pos, bpos, width), _flat(at, bsup, ns)))
-        # flat positions in H and Jg (both n columns wide) of each block's H
-        # and Jg entries, and of its strip's: H against the border columns,
-        # the border rows of Jg transposed, and Jg against the border columns
-        n = problem.n
-        bc, be = self.parts[-1]
-        self.at = [
-            (
-                _flat(c, c, n),
-                _flat(e, c, n),
-                _flat(c, bc, n),
-                _flat(be, c, n).reshape(len(be), len(c)).T.ravel(),
-                _flat(e, bc, n),
-            )
-            for c, e in self.parts
-        ]
-        # one indicator column per block over its free columns: a Jh row
-        # reaches a block when its pattern meets that column
-        self.owner = np.zeros((n, len(self.parts)))
-        for b, (c, _) in enumerate(self.parts):
-            self.owner[c, b] = 1.0
-        self.m_diag = [None] * len(self.parts)
-        self.touch = [None] * len(self.strips)
+        # the block of each column (-1 if pinned) and equality row, and its
+        # place in that block's matrix
+        blk, pos = np.full(n, -1), np.zeros(n, dtype=int)
+        eq_blk, eq_pos = np.zeros(neq, dtype=int), np.zeros(neq, dtype=int)
+        for b, (c, e) in enumerate(self.parts):
+            blk[c], pos[c] = b, np.arange(len(c))
+            eq_blk[e], eq_pos[e] = b, len(c) + np.arange(len(e))
+        # the matrices form writes, blocks then strips, and their row lengths
+        size = np.array([len(a) for a in self.mats] + [width] * border)
 
-    def form(self, hess, jg, jh, w, m_lin, d_box):
-        """Fill the blocks: H, Jh^T diag(w) Jh, m_lin on sup and d_box on the diagonal."""
-        bc = self.parts[-1][0]
-        nb = len(bc)
-        reach = (jh != 0) @ self.owner  # entries of each Jh row in each block
-        m_flat = m_lin.ravel()
-        blocks = zip(self.parts, self.mats, self.lin, self.at)
-        for b, ((c, e), a, (ia, im, sa, sm), (hc, gc, hb, gb, gq)) in enumerate(blocks):
-            nc = len(c)
-            rows = np.flatnonzero(reach[:, b])
-            jr = jh[np.ix_(rows, c)]
-            wj = jr.T * w[rows]
-            a[:nc, :nc] = hess.take(hc).reshape(nc, nc) + wj @ jr
-            a.ravel()[ia] += m_flat[im]
-            a[nc:, :nc] = jg.take(gc).reshape(len(e), nc)
-            a[:nc, nc:] = a[nc:, :nc].T
-            self.m_diag[b] = a[np.diag_indices(nc)] + d_box[c]
-            if b == len(self.strips):
-                break
-            s = self.strips[b]
-            both = reach[rows, -1] != 0  # the rows that reach the border too
-            s[:nc, :nb] = hess.take(hb).reshape(nc, nb) + wj[:, both] @ jh[np.ix_(rows[both], bc)]
-            s.ravel()[sa] += m_flat[sm]
-            s[:nc, nb:] = jg.take(gb).reshape(nc, -1)
-            s[nc:, :nb] = jg.take(gq).reshape(len(e), nb)
-            self.touch[b] = np.flatnonzero(s.any(axis=0))
+        def placed(k, t, r, c):
+            """Per matrix, the entries k placed in it (t == its index), and where."""
+            flat = r * size[t] + c
+            return [(k[t == i], flat[t == i]) for i in range(len(size))]
+
+        # H: an entry within a block goes to it, and a block's column against
+        # a border column to that block's strip; its mirror is not read
+        self.h_sum, (hr, hc) = _distinct(problem.hess_at, n)
+        rb, cb = blk[hr], blk[hc]
+        _refuse(
+            (rb >= 0) & (cb >= 0) & (rb != cb) & (rb != border) & (cb != border),
+            lambda k: f"Lagrangian Hessian entry ({hr[k]}, {hc[k]})",
+        )
+        t = np.where(rb == cb, rb, np.where(cb == border, border + 1 + rb, -1))
+        t[(rb < 0) | (cb < 0)] = -1
+        self.h_at = placed(np.arange(len(hr)), t, pos[hr], pos[hc])
+        # Jg: an entry within a block goes to it as Jg and as Jg^T; a block's
+        # row against a border column, or a border row against a block's
+        # column, to that block's strip
+        self.g_sum, (gr, gc) = _distinct(problem.eq_at, n)
+        eb, cb = eq_blk[gr], blk[gc]
+        _refuse(
+            (cb >= 0) & (eb != cb) & (eb != border) & (cb != border),
+            lambda k: f"equality row {gr[k]}",
+        )
+        as_jg = np.where(eb == cb, eb, np.where(cb == border, border + 1 + eb, -1))
+        as_jgt = np.where(eb == cb, eb, np.where(eb == border, border + 1 + cb, -1))
+        as_jg[cb < 0] = as_jgt[cb < 0] = -1
+        k, ep, cp = np.arange(len(gr)), eq_pos[gr], pos[gc]
+        self.g_at = placed(
+            np.concatenate([k, k]),
+            np.concatenate([as_jg, as_jgt]),
+            np.concatenate([ep, cp]),
+            np.concatenate([cp, ep]),
+        )
+
+        # Jh's rows, the inequalities rows then the linear rows, by group
+        (ir, ic), (lr, lc) = problem.ineq_at, problem.lin_at
+        nlin = len(problem.b_lin)
+        rows, cols = np.concatenate([ir, nnl + lr]), np.concatenate([ic, lc])
+        rb = blk[cols]
+        inner = (rb >= 0) & (rb != border)
+        group = np.full(nnl + nlin, border)
+        np.minimum.at(group, rows[inner], rb[inner])
+        other = np.full(nnl + nlin, -1)
+        np.maximum.at(other, rows[inner], rb[inner])
+        _refuse(
+            (other >= 0) & (other != group),
+            lambda r: f"inequality row {r}" if r < nnl else f"linear row {r - nnl}",
+        )
+        self.j_sum, (jr, jc) = _distinct(problem.ineq_at, n)
+        self.groups = []
+        in_group, lin_group = group[rows], group[nnl + lr]
+        for b, (c, _) in enumerate(self.parts):
+            g_rows = np.flatnonzero(group == b)
+            reach = (in_group == b) & (rb == border)
+            t = np.unique(pos[cols[reach]]) if b < border else np.zeros(0, dtype=int)
+            g_cols = np.concatenate([c, self.parts[-1][0][t]])
+            row_at, col_at = np.zeros(nnl + nlin, dtype=int), np.full(n, -1)
+            row_at[g_rows], col_at[g_cols] = np.arange(len(g_rows)), np.arange(len(g_cols))
+            lin = np.flatnonzero((lin_group == b) & (col_at[lc] >= 0))
+            flat = row_at[nnl + lr[lin]] * len(g_cols) + col_at[lc[lin]]
+            j = np.zeros((len(g_rows), len(g_cols)))
+            j.ravel()[:] = np.bincount(flat, problem.lin_val[lin], j.size)
+            nl = (group[jr] == b) & (col_at[jc] >= 0)
+            flat = row_at[jr[nl]] * len(g_cols) + col_at[jc[nl]]
+            self.groups.append(
+                _Group(j, g_rows, g_cols, t, _flat(t, t, width), np.flatnonzero(nl), flat, nnl)
+            )
+        self.lin_groups = [g for g in self.groups if len(g.lin)]
+        # a pinned column's term of a linear row is a constant
+        pin = blk[lc] < 0
+        self.b_lin = problem.b_lin - np.bincount(
+            lr[pin], problem.lin_val[pin] * problem.lb[lc[pin]], nlin
+        )
+        self.touch = [
+            np.unique(
+                np.concatenate(
+                    [self.h_at[border + 1 + b][1] % width, self.g_at[border + 1 + b][1] % width, g.t]
+                )
+            )
+            for b, g in enumerate(self.groups[:-1])
+        ]
+        self.m_diag = [None] * len(self.parts)
+
+    def form(self, hess, jg, jh, w, d_box):
+        """Fill the blocks from the values of H, Jg and the inequalities' Jh on
+        their patterns, the weights w of Jh's rows, and d_box on the diagonal."""
+        jv = np.bincount(self.j_sum, jh)
+        border = self.mats[-1]
+        nb = len(self.parts[-1][0])
+        # the border's group first, as the others add into its matrix
+        last = len(self.groups) - 1
+        for b in (last, *range(last)):
+            grp, a, nc = self.groups[b], self.mats[b], len(self.parts[b][0])
+            grp.j.ravel()[grp.flat] = jv[grp.take]
+            prod = grp.j.T @ (w[grp.rows, None] * grp.j)
+            a[:nc, :nc] = prod[:nc, :nc]
+            if b < last:
+                s = self.strips[b]
+                s[:nc, :nb] = 0.0
+                s[:nc, grp.t] = prod[:nc, nc:]
+                border.ravel()[grp.tt] += prod[nc:, nc:].ravel()
+        hv = np.bincount(self.h_sum, hess)
+        gv = np.bincount(self.g_sum, jg)
+        for a, (kh, fh), (kg, fg) in zip(self.mats + self.strips, self.h_at, self.g_at):
+            flat = a.ravel()
+            flat[fh] += hv[kh]
+            flat[fg] = gv[kg]
+        for b, ((c, _), a) in enumerate(zip(self.parts, self.mats)):
+            self.m_diag[b] = a.diagonal()[: len(c)] + d_box[c]
+
+    def lin_dot(self, v: np.ndarray) -> np.ndarray:
+        """A v over the linear rows, one product per group."""
+        out = np.empty(len(self.b_lin))
+        for g in self.lin_groups:
+            out[g.lin] = g.j[g.n_nl :] @ v[g.cols]
+        return out
+
+    def lin_t_dot(self, w: np.ndarray, n: int) -> np.ndarray:
+        """A^T w over the linear rows, one product per group."""
+        out = np.zeros(n)
+        for g in self.lin_groups:
+            out[g.cols] += g.j[g.n_nl :].T @ w[g.lin]
+        return out
 
     def solve(self, r_x: np.ndarray, r_g: np.ndarray, reg: float):
         """(dx, dlam) of K + reg diag(I, -I) against (r_x, r_g); pinned dx stay 0.
@@ -579,6 +671,40 @@ class KktBlocks:
         return dx, dlam
 
 
+@dataclass
+class _Group:
+    """The rows of Jh in one block's group, as a dense matrix j over the
+    block's columns and then the border columns it touches (at border
+    positions t): the inequalities rows, whose distinct entries take are
+    written at flat on each form, then the linear rows, written once."""
+
+    j: np.ndarray
+    rows: np.ndarray  # in Jh: an inequalities row, or nnl + a linear row
+    cols: np.ndarray
+    t: np.ndarray
+    tt: np.ndarray  # flat positions of the (t, t) entries in the border's matrix
+    take: np.ndarray
+    flat: np.ndarray
+    nnl: int
+
+    def __post_init__(self):
+        self.n_nl = int(np.searchsorted(self.rows, self.nnl))
+        self.lin = self.rows[self.n_nl :] - self.nnl
+
+
+def _distinct(at: tuple, width: int):
+    """(index of each entry's distinct entry, (rows, cols) of the distinct entries)."""
+    key = np.asarray(at[0], dtype=int) * width + np.asarray(at[1], dtype=int)
+    key, inverse = np.unique(key, return_inverse=True)
+    return inverse, (key // width, key % width)
+
+
+def _refuse(bad: np.ndarray, name) -> None:
+    """Raise for the first flagged row or entry, named by name(index)."""
+    if np.any(bad):
+        raise ValueError(f"{name(np.flatnonzero(bad)[0])} spans the columns of two owners")
+
+
 def _flat(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     """Flat positions of the (rows x cols) grid in a matrix of this width."""
     return (rows[:, None] * width + cols).ravel()
@@ -592,18 +718,19 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
 
     Newton steps on the perturbed KKT system in reduced form, fraction-to-
     boundary step clipping, multiplicative barrier reduction.  Inequality
-    rows come in three kinds, in this order in mu: the nonlinear rows with
-    their dense Jacobian; the constant linear rows, evaluated and weighted
-    only on the columns they touch, so that A_s^T W A_s enters one small
-    block of the KKT matrix; and the box bounds, kept as vectors: a finite
-    bound is a row with one +-1 entry, so its terms are a diagonal add and
-    an index, and a pinned column is held at its bound outside the Newton
-    system.  That system is formed and solved by the problem's owner blocks
-    (KktBlocks), in one set of buffers per solve: each block is eliminated
-    against the border entries it touches, then the border's Schur
-    complement is solved.  A singular block or complement, or a non-finite
-    step, takes the next step of one regularization ladder on the whole
-    system.  Bound slacks and multipliers count in the convergence tests
+    rows come in three kinds, in this order in mu: the nonlinear rows, whose
+    products run on their Jacobian's pattern; the constant linear rows,
+    evaluated and weighted by owner group, one dense product per group; and
+    the box bounds, kept as vectors: a finite bound is a row with one +-1
+    entry, so its terms are a diagonal add and an index, and a pinned
+    column is held at its bound outside the Newton system.  No iteration
+    forms an array as wide as x in both dimensions, or as tall as the rows
+    and as wide as x.  The Newton system is formed from the derivative
+    values and solved by the problem's owner blocks (KktBlocks), in one set
+    of buffers per solve: each block is eliminated against the border
+    entries it touches, then the border's Schur complement is solved.  A
+    singular block or complement, or a non-finite step, takes the next step
+    of one regularization ladder on the whole system.  Bound slacks and multipliers count in the convergence tests
     like those of the user rows; a pinned column's stationarity does not,
     as its multiplier is free.  A solve stopped at the iteration cap is
     iteration_limit, whatever its last violation, and its message names the
@@ -619,26 +746,38 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     x[pinned] = problem.lb[pinned]
     n = len(x)
     fc = np.flatnonzero(~pinned)  # the columns of the Newton system
-    sup = np.flatnonzero(np.any(problem.a_lin != 0, axis=0))  # linear rows' columns
-    a_s, b_lin = problem.a_lin[:, sup], problem.b_lin
+    (eq_r, eq_c), (in_r, in_c) = problem.eq_at, problem.ineq_at
+
+    def stacked(h, x):
+        """The nonlinear rows' values h, then the linear rows' and the bounds' at x."""
+        return np.concatenate([h, kkt.lin_dot(x) - kkt.b_lin, sign * (x[col] - cap)])
 
     def evaluate(x):
         g, jg = problem.eq(x)
         h, jh = problem.nonlinear_ineq(x)
-        return g, jg, np.concatenate([h, a_s @ x[sup] - b_lin, sign * (x[col] - cap)]), jh
+        return g, jg, stacked(h, x), jh
+
+    def jg_t(jg, lam):
+        return np.bincount(eq_c, jg * lam[eq_r], n)
 
     def jh_t(jh, w):
         """Jh^T w over the nonlinear, linear and bound rows."""
-        out = jh.T @ w[:nnl] + np.bincount(col, weights=sign * w[nh:], minlength=n)
-        out[sup] += a_s.T @ w[nnl:nh]
-        return out
+        return (
+            np.bincount(in_c, jh * w[in_r], n)
+            + kkt.lin_t_dot(w[nnl:nh], n)
+            + np.bincount(col, sign * w[nh:], n)
+        )
 
     f, df = problem.objective(x)
-    g, jg, h, jh = evaluate(x)
-    neq, niq, nnl = len(g), len(h), len(jh)
+    g, jg = problem.eq(x)
+    h, jh = problem.nonlinear_ineq(x)
+    neq, nnl = len(g), len(h)
+    kkt = KktBlocks(problem, fc, neq, nnl)
+    h = stacked(h, x)
+    niq = len(h)
     if not niq:
         raise ValueError("problem has no inequality row and no finite bound")
-    nh = nnl + len(b_lin)  # user rows: nonlinear, then linear
+    nh = nnl + len(problem.b_lin)  # user rows: nonlinear, then linear
     lam = np.zeros(neq)
     z = np.ones(niq)
     mu = np.ones(niq)
@@ -649,7 +788,7 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     mu[k] = gamma / z[k]
 
     def residuals(f, df, g, h, jg, jh, lam, mu, x, z):
-        lx = df + jg.T @ lam + jh_t(jh, mu)
+        lx = df + jg_t(jg, lam) + jh_t(jh, mu)
         maxh = np.max(h)
         maxg = np.max(np.abs(g)) if neq else 0.0
         normx = max(np.max(np.abs(x)), 1.0)
@@ -667,7 +806,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     converged = feascond < opts.feastol and gradcond < opts.gradtol and compcond < opts.comptol
     it = 0
     message = ""
-    kkt = KktBlocks(problem, fc, neq, sup)
 
     while not converged and it < opts.max_iter:
         it += 1
@@ -677,9 +815,8 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             problem.lag_hess(x, 1.0, lam, mu[:nnl]),
             jg,
             jh,
-            w[:nnl],
-            (a_s.T * w[nnl:nh]) @ a_s,
-            np.bincount(col, weights=w[nh:], minlength=n),
+            w[:nh],
+            np.bincount(col, w[nh:], n),
         )
         nvec = lx + jh_t(jh, zinv * (gamma + mu * h))
 
@@ -696,7 +833,8 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
             message = "KKT system singular beyond regularization"
             break
 
-        dz = -h - z - np.concatenate([jh @ dx, a_s @ dx[sup], sign * dx[col]])
+        jh_dx = np.bincount(in_r, jh * dx[in_c], nnl)
+        dz = -h - z - np.concatenate([jh_dx, kkt.lin_dot(dx), sign * dx[col]])
         dmu = -mu + zinv * (gamma - mu * dz)
         kz = dz < 0
         alphap = min(1.0, XI * np.min(z[kz] / -dz[kz])) if np.any(kz) else 1.0
@@ -775,50 +913,3 @@ def solve_standard(case: NetworkCase, opts: NlpOptions | None = None, charts=Non
     if charts:
         problem = assemble_polygon_extension(problem, charts)
     return solve_nlp(problem, opts)
-
-
-@dataclass
-class KktReport:
-    stationarity: float
-    primal_eq: float
-    primal_ineq: float
-    complementarity: float
-    dual_sign: float  # most negative inequality multiplier (>= -tol at a KKT point)
-
-    def ok(self, tol: float = 1e-6) -> bool:
-        return (
-            self.stationarity <= tol
-            and self.primal_eq <= tol
-            and self.primal_ineq <= tol
-            and self.complementarity <= tol
-            and self.dual_sign >= -tol
-        )
-
-
-def kkt_report(problem: NlpProblem, sol: OpfSolution) -> KktReport:
-    """First-order optimality residuals of a solution, from analytic derivatives.
-
-    The bound rows are built from box_bounds exactly as the solver saw them
-    and weighted by sol.mu_box, so an optimal solve reports residuals at the
-    solver's own tolerance.  A pinned column carries a free multiplier, so
-    stationarity skips it, and its distance from the bound counts as an
-    equality residual.
-    """
-    pinned, col, sign, cap = box_bounds(problem)
-    x = sol.x
-    _, df = problem.objective(x)
-    g, jg = problem.eq(x)
-    h, jh = problem.ineq(x)
-    h = np.concatenate([h, sign * (x[col] - cap)])
-    g = np.concatenate([g, x[pinned] - problem.lb[pinned]])
-    mu = np.concatenate([sol.mu, sol.mu_box])
-    lx = df + jg.T @ sol.lam + jh.T @ sol.mu + np.bincount(col, sign * sol.mu_box, len(x))
-    # scaled as in the solver's convergence test
-    comp = np.max(np.abs(mu * h)) / (1 + np.max(np.abs(x))) if len(h) else 0.0
-    return KktReport(
-        stationarity=float(np.max(np.abs(lx[~pinned]), initial=0.0)),
-        primal_eq=float(np.max(np.abs(g))) if len(g) else 0.0,
-        primal_ineq=float(max(np.max(h), 0.0)) if len(h) else 0.0,
-        complementarity=float(comp),
-        dual_sign=float(np.min(mu)) if len(mu) else 0.0,
-    )

@@ -48,10 +48,12 @@ def assemble_pp(
     DG q) block per DS in ascending ds_id; x_j reads its PCC voltages from
     the ``vm`` columns of its PCC buses, whose box is the TS band narrowed
     to the bundle's v range.  The TS callbacks take the full x; the DG costs
-    and each PCC's regressions, a load on its bus's balance rows, are added
-    into what they return.  Facet and chart rows are the linear rows
-    (NlpProblem.a_lin), after the TS's flow rows.
-    ``meta["x_ds_cols"]`` maps each ds_id to the columns of its x_j.
+    and each PCC's regressions, a load on its bus's balance rows, are
+    appended to what they return and to their patterns, every regression
+    evaluated at once.  Facet and chart rows are the linear rows, after the
+    TS's flow rows.  DS d owns its DG columns and the TS, its PCC ``vm``
+    columns included, is the border, so each DS is a block of the Newton
+    system.  ``meta["x_ds_cols"]`` maps each ds_id to the columns of its x_j.
     """
     ts = assemble_standard(ts_case)
     n = ts_case.n_bus
@@ -112,6 +114,33 @@ def assemble_pp(
     ca = np.array([c.a for c in costs])
     cb = np.array([c.b for c in costs])
     cc = np.array([c.c for c in costs])
+    col_owner = np.full(nx, -1)  # DS d owns its DG columns; the TS is the border
+    for ds in ds_ids:
+        col_owner[x_cols[ds][bundles[ds].n_pcc :]] = ds
+
+    # every PCC's two regressions stacked, p then q, each over its x_j padded
+    # with zeros to the widest x_j: model r adds t_r(x_j) to balance row
+    # rows[r], with its gradient on the row and 2 lam[rows[r]] a_quad on
+    # the Hessian; pad marks the real entries
+    width = max(len(cols) for _, cols, _, _ in loads)
+    idx = np.zeros((2 * len(loads), width), dtype=int)
+    pad = np.zeros((2 * len(loads), width), dtype=bool)
+    quad = np.zeros((2 * len(loads), width, width))
+    lin = np.zeros((2 * len(loads), width))
+    const = np.zeros(2 * len(loads))
+    rows = np.zeros(2 * len(loads), dtype=int)
+    for u, (i, cols, t_p, t_q) in enumerate(loads):
+        m = len(cols)
+        for r, row, t in ((2 * u, i, t_p), (2 * u + 1, n + i, t_q)):
+            idx[r, :m], pad[r, :m], rows[r] = cols, True, row
+            quad[r, :m, :m], lin[r, :m], const[r] = t.a_quad, t.b_quad, t.c_quad
+    # the Hessian blocks sum each PCC's p and q models
+    pair = pad[::2, :, None] & pad[::2, None, :]
+    jac_at = (np.broadcast_to(rows[:, None], pad.shape)[pad], idx[pad])
+    hess_at = (
+        np.broadcast_to(idx[::2, :, None], pair.shape)[pair],
+        np.broadcast_to(idx[::2, None, :], pair.shape)[pair],
+    )
 
     def objective(x):
         f, grad = ts.objective(x)
@@ -121,19 +150,16 @@ def assemble_pp(
 
     def equalities(x):
         g, jac = ts.equalities(x)
-        for i, cols, t_p, t_q in loads:
-            xj = x[cols]
-            for row, t in ((i, t_p), (n + i, t_q)):
-                g[row] += t.predict(xj)
-                jac[row, cols] += 2 * t.a_quad @ xj + t.b_quad
-        return g, jac
+        xs = np.where(pad, x[idx], 0.0)
+        ax = np.einsum("rjk,rk->rj", quad, xs)
+        g[rows] += np.einsum("rj,rj->r", xs, ax + lin) + const
+        return g, np.concatenate([jac, (2 * ax + lin)[pad]])
 
     def lag_hess(x, sigma, lam, mu):
-        hess = ts.lag_hess(x, sigma, lam, mu)
-        for i, cols, t_p, t_q in loads:
-            hess[np.ix_(cols, cols)] += 2.0 * (lam[i] * t_p.a_quad + lam[n + i] * t_q.a_quad)
-        hess[p_cols, p_cols] += sigma * 2 * ca
-        return hess
+        blocks = 2 * lam[rows, None, None] * quad
+        return np.concatenate(
+            [ts.lag_hess(x, sigma, lam, mu), (blocks[::2] + blocks[1::2])[pair], sigma * 2 * ca]
+        )
 
     problem = NlpProblem(
         x0=x0,
@@ -141,30 +167,31 @@ def assemble_pp(
         ub=ub,
         objective=objective,
         lag_hess=lag_hess,
+        hess_at=tuple(np.concatenate(z) for z in zip(ts.hess_at, hess_at, (p_cols, p_cols))),
         equalities=equalities,
+        eq_at=tuple(np.concatenate(z) for z in zip(ts.eq_at, jac_at)),
         inequalities=ts.inequalities,
+        ineq_at=ts.ineq_at,
         var_slices=ts.var_slices,
         meta={
             **ts.meta,
             "dg_gens": [],  # the DGs are the x_j blocks, not TS generator columns
             "x_ds_cols": x_cols,
         },
+        col_owner=col_owner,
     )
 
     # per DS its facet rows, then its chart rows
-    blocks = []
     for ds in ds_ids:
         bundle, cols = bundles[ds], x_cols[ds]
-        a = np.zeros((bundle.fr.n_h, nx))
-        a[:, cols] = bundle.fr.a_fr
-        blocks.append((a, bundle.fr.b_fr))
+        n_h = bundle.fr.n_h
+        facets = (np.repeat(np.arange(n_h), len(cols)), np.tile(cols, n_h))
+        append_linear_inequalities(problem, facets, bundle.fr.a_fr.ravel(), bundle.fr.b_fr)
         if charts_enforced and bundle.charts:
             r, n_dg = bundle.n_pcc, bundle.n_dg
-            blocks.append(chart_rows(bundle.charts, cols[r : r + n_dg], cols[r + n_dg :], nx))
-    if blocks:
-        append_linear_inequalities(
-            problem, np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
-        )
+            append_linear_inequalities(
+                problem, *chart_rows(bundle.charts, cols[r : r + n_dg], cols[r + n_dg :])
+            )
     return problem
 
 

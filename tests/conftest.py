@@ -6,6 +6,8 @@ from gridveil.netmodel import CostPoly, build_integrated, bundled_case, parse_ca
 from gridveil.sampling import generate_dataset, sample_space, split_dataset
 from gridveil.surrogate import SurrogateBundle, TrainConfig, fit_quadratic, train_fr
 
+from oracles import dense_form_args
+
 # Three-bus network with a pinned slack voltage, one cheap remote generator
 # and generous line ratings: small enough for exhaustive grid search, rich
 # enough (losses, reactive limits, line charging) to exercise the assembler.
@@ -132,8 +134,9 @@ def rng():
 def kkt_systems(monkeypatch):
     """Every Newton system that solve_nlp forms, with the step it solved for.
 
-    One record per solve of the blocks: the problem, the blocks, copies of
-    the form arguments, the right-hand side (r_x, r_g), the regularization,
+    One record per solve of the blocks: the problem, the blocks, the form
+    arguments with H, Jg and Jh densified through the problem's patterns
+    (oracles.dense_form_args), the right-hand side (r_x, r_g), the regularization,
     the returned (dx, dlam), and copies of the diagonal blocks (with the
     regularized diagonal the solve wrote) and strips it solved.
     """
@@ -145,7 +148,8 @@ def kkt_systems(monkeypatch):
         self.problem = problem
 
     def spy_form(self, *args):
-        self.form_args = [np.array(a) for a in args]
+        neq = sum(len(e) for _, e in self.parts)
+        self.form_args = dense_form_args(self.problem, neq, *args)
         form(self, *args)
 
     def spy_solve(self, r_x, r_g, reg):

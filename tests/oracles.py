@@ -5,15 +5,19 @@ formulas, not by importing package internals: backward/forward-sweep power
 flow for radial feeders, ray-crossing polygon membership, per-branch 2x2
 admittance stamping, MATPOWER's dense-matrix OPF derivatives, a brute-force
 grid optimizer for a 3-bus OPF, the interior-point Newton system formed and
-solved as one dense matrix, the max-aggregator's forward pass, and
-finite-difference derivative checks.
+solved as one dense matrix, first-order optimality residuals from dense
+derivatives, the max-aggregator's forward pass, and finite-difference
+derivative checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
+
+from gridveil.acopf import box_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,16 @@ def two_bus_flow(v1, th1, v2, th2, r, x, b_sh=0.0):
 # diagonal matrix spelled out as np.diag.
 
 
+def dense_bus_jacobian(ybus, v):
+    """dS/dVa and dS/dVm of the bus injections S = V conj(Ybus V), complex (n x n)."""
+    ibus = ybus @ v
+    diag_v = np.diag(v)
+    diag_vnorm = np.diag(v / np.abs(v))
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(np.diag(ibus)) @ diag_vnorm
+    ds_dva = 1j * diag_v @ np.conj(np.diag(ibus) - ybus @ diag_v)
+    return ds_dva, ds_dvm
+
+
 def dense_flow_jacobian(yb, cidx, v):
     """dS/dVa and dS/dVm of every flow row, complex (rows x n_bus)."""
     c_rows = np.zeros_like(yb)
@@ -234,6 +248,32 @@ def dense_bus_injection_hessian(ybus, v, lam_p, lam_q):
     gav = gva.T
     gvv = g @ (c + c.T) @ g
     return np.real(np.block([[gaa, gav], [gva, gvv]]))
+
+
+def dense_opf_derivatives(case, x, sigma, lam, mu):
+    """The standard AC-OPF's derivatives at x = (theta, vm, p_g, q_g), dense:
+    (Jg of the balance rows, Jh of the squared flow-limit rows, Lagrangian
+    Hessian at (sigma, lam, mu)), from the matrix formulas above."""
+    n, ng = len(case.buses), len(case.generators)
+    idx = {b.id: i for i, b in enumerate(case.buses)}
+    v = x[n : 2 * n] * np.exp(1j * x[:n])
+    kg = np.zeros((n, ng))
+    kg[[idx[gen.bus] for gen in case.generators], np.arange(ng)] = 1.0
+    jg = np.zeros((2 * n, 2 * n + 2 * ng))
+    ds_dva, ds_dvm = dense_bus_jacobian(case.ybus, v)
+    jg[:, : 2 * n] = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
+    jg[:n, 2 * n : 2 * n + ng] = jg[n:, 2 * n + ng :] = -kg
+    yb, cidx = stamp_branch_rows(case)
+    s_conj = np.conj(v[cidx]) * (yb @ v)
+    jh = np.zeros((len(cidx), jg.shape[1]))
+    jh[:, : 2 * n] = 2 * np.real(s_conj[:, None] * np.hstack(dense_flow_jacobian(yb, cidx, v)))
+    hess = np.zeros((jg.shape[1],) * 2)
+    hess[: 2 * n, : 2 * n] = dense_bus_injection_hessian(
+        case.ybus, v, lam[:n], lam[n:]
+    ) + dense_sq_hessian(yb, cidx, v, mu)
+    pg = np.arange(2 * n, 2 * n + ng)
+    hess[pg, pg] += sigma * 2 * np.array([g.cost.a for g in case.generators]) * case.base_mva**2
+    return jg, jh, hess
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +388,64 @@ def brute_force_opf_3bus(case, step: float = 1e-3):
 # ---------------------------------------------------------------------------
 
 
-def dense_kkt_step(problem, hess, jg, jh, w, m_lin, d_box, r_x, r_g, reg):
+def dense(at, values, shape) -> np.ndarray:
+    """The dense matrix of values on a COO pattern, repeated entries summed."""
+    out = np.zeros(shape)
+    np.add.at(out, (np.asarray(at[0], dtype=int), np.asarray(at[1], dtype=int)), values)
+    return out
+
+
+def dense_jh(problem, jh, n_nonlinear: int) -> np.ndarray:
+    """Every inequality row's dense Jacobian: the inequalities rows, from their
+    values jh, over the linear rows."""
+    return np.vstack(
+        [
+            dense(problem.ineq_at, jh, (n_nonlinear, problem.n)),
+            dense(problem.lin_at, problem.lin_val, (len(problem.b_lin), problem.n)),
+        ]
+    )
+
+
+def dense_derivatives(problem, x):
+    """(g, dense Jg, h, dense Jh) at x, h and Jh over every inequality row.
+
+    Each Jacobian the callbacks return must be 1-D, one value per entry of
+    its pattern."""
+    g, jg = problem.eq(x)
+    h, jh = problem.nonlinear_ineq(x)
+    assert jg.shape == problem.eq_at[0].shape and jh.shape == problem.ineq_at[0].shape
+    jg_dense = dense(problem.eq_at, jg, (len(g), problem.n))
+    return g, jg_dense, problem.ineq(x)[0], dense_jh(problem, jh, len(h))
+
+
+def dense_hessian(problem, x, sigma, lam, mu) -> np.ndarray:
+    """lag_hess at x, dense; its values must be 1-D, one per entry of hess_at."""
+    values = problem.lag_hess(x, sigma, lam, mu)
+    assert values.shape == problem.hess_at[0].shape
+    return dense(problem.hess_at, values, (problem.n, problem.n))
+
+
+def dense_form_args(problem, neq, hess, jg, jh, w, d_box):
+    """KktBlocks.form's arguments with H, Jg and Jh (every inequality row) dense."""
+    return [
+        dense(problem.hess_at, hess, (problem.n, problem.n)),
+        dense(problem.eq_at, jg, (neq, problem.n)),
+        dense_jh(problem, jh, len(w) - len(problem.b_lin)),
+        np.array(w),
+        np.array(d_box),
+    ]
+
+
+def dense_kkt_step(problem, hess, jg, jh, w, d_box, r_x, r_g, reg):
     """The Newton system of one interior-point iteration, formed and solved whole.
 
     K = [[M + reg I, Jg^T], [Jg, -reg I]] over the columns with lb != ub and
-    every equality row, with M = H + Jh^T diag(w) Jh, plus m_lin on the
-    columns the linear rows touch and d_box on the diagonal.  Returns
-    (K, rhs, K^-1 rhs, free columns), rhs = (r_x on the free columns, r_g).
+    every equality row, with M = H + Jh^T diag(w) Jh (Jh over every
+    inequality row) plus d_box on the diagonal.  Returns (K, rhs, K^-1 rhs,
+    free columns), rhs = (r_x on the free columns, r_g).
     """
     fc = np.flatnonzero(problem.lb != problem.ub)
-    sup = np.flatnonzero(np.any(problem.a_lin != 0, axis=0))
     m = hess + (jh.T * w) @ jh
-    m[np.ix_(sup, sup)] += m_lin
     m[np.diag_indices(len(m))] += d_box + reg
     jf = jg[:, fc]
     k = np.block([[m[np.ix_(fc, fc)], jf.T], [jf, -reg * np.eye(len(jg))]])
@@ -375,6 +461,57 @@ def newton_errors(rec) -> tuple[float, float]:
     x = np.concatenate([rec["dx"][fc], rec["dlam"]])
     res = np.linalg.norm(k @ x - rhs) / np.linalg.norm(rhs)
     return float(res), float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+# ---------------------------------------------------------------------------
+# First-order optimality
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class KktReport:
+    stationarity: float
+    primal_eq: float
+    primal_ineq: float
+    complementarity: float
+    dual_sign: float  # most negative inequality multiplier (>= -tol at a KKT point)
+
+    def ok(self, tol: float = 1e-6) -> bool:
+        return (
+            self.stationarity <= tol
+            and self.primal_eq <= tol
+            and self.primal_ineq <= tol
+            and self.complementarity <= tol
+            and self.dual_sign >= -tol
+        )
+
+
+def kkt_report(problem, sol) -> KktReport:
+    """First-order optimality residuals of a solution, from dense derivatives.
+
+    The bound rows are built from box_bounds exactly as the solver saw them
+    and weighted by sol.mu_box, so an optimal solve reports residuals at the
+    solver's own tolerance.  A pinned column carries a free multiplier, so
+    stationarity skips it, and its distance from the bound counts as an
+    equality residual.
+    """
+    pinned, col, sign, cap = box_bounds(problem)
+    x = sol.x
+    _, df = problem.objective(x)
+    g, jg, h, jh = dense_derivatives(problem, x)
+    h = np.concatenate([h, sign * (x[col] - cap)])
+    g = np.concatenate([g, x[pinned] - problem.lb[pinned]])
+    mu = np.concatenate([sol.mu, sol.mu_box])
+    lx = df + jg.T @ sol.lam + jh.T @ sol.mu + np.bincount(col, sign * sol.mu_box, len(x))
+    # scaled as in the solver's convergence test
+    comp = np.max(np.abs(mu * h)) / (1 + np.max(np.abs(x))) if len(h) else 0.0
+    return KktReport(
+        stationarity=float(np.max(np.abs(lx[~pinned]), initial=0.0)),
+        primal_eq=float(np.max(np.abs(g))) if len(g) else 0.0,
+        primal_ineq=float(max(np.max(h), 0.0)) if len(h) else 0.0,
+        complementarity=float(comp),
+        dual_sign=float(np.min(mu)) if len(mu) else 0.0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,25 +10,28 @@ from gridveil.acopf import (
     append_linear_inequalities,
     assemble_polygon_extension,
     assemble_standard,
-    kkt_report,
     solve_nlp,
     solve_standard,
 )
 from gridveil.netmodel import CostPoly, Generator, polygon_from_vertices
-from gridveil.powerflow import dSbus_dV, newton_pf
+from gridveil.powerflow import newton_pf
 
 from oracles import (
-    dense_bus_injection_hessian,
+    dense_derivatives,
     dense_flow_jacobian,
+    dense_hessian,
     dense_kkt_step,
+    dense_opf_derivatives,
     dense_sq_hessian,
     fd_jacobian,
+    kkt_report,
     newton_errors,
     rel_err,
     stamp_branch_rows,
 )
 
 TIGHT = NlpOptions(feastol=1e-8, gradtol=1e-8, comptol=1e-8, costtol=1e-9)
+NO_ENTRIES = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
 # ----------------------------------------------------------------- assembly
@@ -108,47 +111,41 @@ def ds2_variant(ds2):
     return dataclasses.replace(ds2, branches=[*branches, branches[5]])
 
 
-@pytest.mark.parametrize("name", ["ts30", "ds2", "ieee33", "integrated", "ds2_variant"])
+@pytest.mark.parametrize("name", ["toy3", "ts30", "ds2", "ieee33", "integrated", "ds2_variant"])
 def test_pattern_callbacks_match_dense_formulas(name, request, rng):
-    """equalities' Jacobian is dSbus_dV and -gen_incidence, and lag_hess is the
-    dense bus-injection and flow-limit Hessians plus the cost diagonal."""
+    """Densified through their patterns, repeats summed, the equalities'
+    Jacobian is dS/dV and -gen_incidence, the inequalities' is the flow-limit
+    rows' 2 Re(conj(S) dS/dV), and lag_hess is the dense bus-injection and
+    flow-limit Hessians plus the cost diagonal; each value vector is 1-D,
+    one value per pattern entry (oracles.dense_derivatives checks)."""
     case = request.getfixturevalue(name)
     if not case.generators:  # ieee33 is a feeder without generation
         slack = Generator(case.slack_buses()[0], 0.0, 10.0, -10.0, 10.0, CostPoly(0.01, 20.0))
         case = dataclasses.replace(case, generators=[slack])
     problem = assemble_standard(case)
     n, ng = case.n_bus, case.n_gen
-    rows = BranchSet(case)
-    yb, cidx = stamp_branch_rows(case)
-    kg = case.gen_incidence()
-    pg = np.arange(2 * n, 2 * n + ng)
-    cost_a = np.array([g.cost.a for g in case.generators]) * case.base_mva**2
+    n_rows = BranchSet(case).n_rows
     for _ in range(3):
         v = _random_state(case, rng)
         x = np.concatenate([np.angle(v), np.abs(v), rng.normal(size=2 * ng)])
-        ds_dva, ds_dvm = dSbus_dV(case.ybus, v)
-        want = np.zeros((2 * n, problem.n))
-        want[:, : 2 * n] = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
-        want[:n, pg] = want[n:, pg + ng] = -kg
-        assert _close(problem.eq(x)[1], want)
-
         lam, sigma = rng.normal(size=2 * n), rng.uniform(0.5, 2.0)
-        mu = rng.uniform(0.0, 1.0, rows.n_rows)
-        want = np.zeros((problem.n, problem.n))
-        want[: 2 * n, : 2 * n] = dense_bus_injection_hessian(
-            case.ybus, v, lam[:n], lam[n:]
-        ) + dense_sq_hessian(yb, cidx, v, mu)
-        want[pg, pg] += sigma * 2 * cost_a
-        assert _close(problem.lag_hess(x, sigma, lam, mu), want)
+        mu = rng.uniform(0.0, 1.0, n_rows)
+        want_jg, want_jh, want_hess = dense_opf_derivatives(case, x, sigma, lam, mu)
+        _, jg, _, jh = dense_derivatives(problem, x)
+        assert _close(jg, want_jg) and _close(jh, want_jh)
+        assert _close(dense_hessian(problem, x, sigma, lam, mu), want_hess)
 
 
 def test_equality_residual_counts(toy3):
     p = assemble_standard(toy3)
-    g, jg = p.eq(p.x0)
-    h, jh = p.ineq(p.x0)
+    g, jg, h, jh = dense_derivatives(p, p.x0)
     assert g.shape == (6,) and jg.shape == (6, 10)
     assert len(h) == 2 * sum(1 for b in toy3.branches if b.s_max > 0)
     assert jh.shape == (len(h), 10)
+    # values on the patterns: 4 of dS/dV per pattern entry and one per generator
+    # column; 4 per flow row
+    assert len(p.eq(p.x0)[1]) == 4 * (3 + 2 * 3) + 2 * 2
+    assert len(p.ineq(p.x0)[1]) == 4 * len(h)
 
 
 # ------------------------------------------------------------------- solver
@@ -159,10 +156,15 @@ def test_solver_unconstrained_quadratic():
         return float((x[0] - 2.0) ** 2 + 3.0), np.array([2 * (x[0] - 2.0)])
 
     def hess(x, sigma, lam, mu):
-        return sigma * np.array([[2.0]])
+        return sigma * np.array([2.0])
 
     p = NlpProblem(
-        x0=np.zeros(1), lb=np.array([-5.0]), ub=np.array([5.0]), objective=obj, lag_hess=hess
+        x0=np.zeros(1),
+        lb=np.array([-5.0]),
+        ub=np.array([5.0]),
+        objective=obj,
+        lag_hess=hess,
+        hess_at=(np.array([0]), np.array([0])),
     )
     sol = solve_nlp(p, TIGHT)
     assert sol.optimal
@@ -176,15 +178,17 @@ def test_solver_active_linear_constraint():
         return float(x[0] + x[1]), np.ones(2)
 
     def ineq(x):
-        return np.array([1.0 - x[0] - x[1]]), np.array([[-1.0, -1.0]])
+        return np.array([1.0 - x[0] - x[1]]), np.array([-1.0, -1.0])
 
     p = NlpProblem(
         x0=np.full(2, 0.8),
         lb=np.zeros(2),
         ub=np.full(2, 2.0),
         objective=obj,
-        lag_hess=lambda x, sigma, lam, mu: np.zeros((2, 2)),
+        lag_hess=lambda x, sigma, lam, mu: np.zeros(0),
+        hess_at=NO_ENTRIES,
         inequalities=ineq,
+        ineq_at=(np.array([0, 0]), np.array([0, 1])),
     )
     sol = solve_nlp(p, TIGHT)
     assert sol.optimal
@@ -203,7 +207,8 @@ def test_solver_bound_multipliers():
         lb=np.zeros(2),
         ub=np.full(2, 2.0),
         objective=obj,
-        lag_hess=lambda x, sigma, lam, mu: sigma * 2 * np.eye(2),
+        lag_hess=lambda x, sigma, lam, mu: sigma * np.array([2.0, 2.0]),
+        hess_at=(np.arange(2), np.arange(2)),
     )
     sol = solve_nlp(p, TIGHT)
     assert sol.optimal
@@ -221,7 +226,8 @@ def test_solver_rejects_empty_box():
         lb=np.array([0.0, 1.0]),
         ub=np.array([1.0, 0.0]),
         objective=lambda x: (0.0, np.zeros(2)),
-        lag_hess=lambda x, sigma, lam, mu: np.zeros((2, 2)),
+        lag_hess=lambda x, sigma, lam, mu: np.zeros(0),
+        hess_at=NO_ENTRIES,
     )
     with pytest.raises(ValueError, match="empty box"):
         solve_nlp(p)
@@ -234,7 +240,8 @@ def test_solver_refuses_a_problem_without_inequalities():
         lb=np.full(2, -np.inf),
         ub=np.full(2, np.inf),
         objective=lambda x: (float(x @ x), 2 * x),
-        lag_hess=lambda x, sigma, lam, mu: sigma * 2 * np.eye(2),
+        lag_hess=lambda x, sigma, lam, mu: sigma * np.array([2.0, 2.0]),
+        hess_at=(np.arange(2), np.arange(2)),
     )
     with pytest.raises(ValueError, match="no inequality row and no finite bound"):
         solve_nlp(p)
@@ -315,13 +322,61 @@ def test_a_branch_between_two_ds_is_refused(integrated):
         assemble_standard(case)
 
 
+def _two_dgs(case, problem):
+    """The p columns of DS 1's and DS 2's first DGs."""
+    pg, dg_map = problem.var_slices["pg"].start, case.meta["dg_map"]
+    return np.array([pg + dg_map[1][0], pg + dg_map[2][0]])
+
+
 def test_a_linear_row_across_two_owners_is_refused(integrated):
     p = assemble_standard(integrated)
-    pg = p.var_slices["pg"].start
-    row = np.zeros((1, p.n))
-    row[0, [pg + integrated.meta["dg_map"][1][0], pg + integrated.meta["dg_map"][2][0]]] = 1.0
-    append_linear_inequalities(p, row, np.ones(1))
-    with pytest.raises(ValueError, match="linear row spans the columns of two owners"):
+    append_linear_inequalities(p, (np.zeros(2), _two_dgs(integrated, p)), np.ones(2), np.ones(1))
+    with pytest.raises(ValueError, match="^linear row 0 spans the columns of two owners$"):
+        solve_nlp(p)
+
+
+def test_an_inequality_row_across_two_owners_is_refused(integrated):
+    p = assemble_standard(integrated)
+    cols, row = _two_dgs(integrated, p), BranchSet(integrated).n_rows
+    flows = p.inequalities
+
+    def inequalities(x):
+        h, jh = flows(x)
+        return np.append(h, x[cols].sum() - 1.0), np.append(jh, [1.0, 1.0])
+
+    at = (np.append(p.ineq_at[0], [row, row]), np.append(p.ineq_at[1], cols))
+    p = dataclasses.replace(p, inequalities=inequalities, ineq_at=at)
+    with pytest.raises(ValueError, match=f"^inequality row {row} spans the columns of two owners$"):
+        solve_nlp(p)
+
+
+def test_an_equality_row_across_two_owners_is_refused(integrated):
+    # a balance row of DS 1 whose pattern names a column of DS 2: a structural
+    # entry is enough, whatever its value
+    p = assemble_standard(integrated)
+    row, col = np.flatnonzero(p.eq_owner == 1)[0], np.flatnonzero(p.col_owner == 2)[0]
+    balance = p.equalities
+
+    def equalities(x):
+        g, jg = balance(x)
+        return g, np.append(jg, 0.0)
+
+    at = (np.append(p.eq_at[0], row), np.append(p.eq_at[1], col))
+    p = dataclasses.replace(p, equalities=equalities, eq_at=at)
+    with pytest.raises(ValueError, match=f"^equality row {row} spans the columns of two owners$"):
+        solve_nlp(p)
+
+
+def test_a_hessian_entry_across_two_owners_is_refused(integrated):
+    p = assemble_standard(integrated)
+    cols = _two_dgs(integrated, p)
+    lag_hess = p.lag_hess
+    at = (np.append(p.hess_at[0], cols), np.append(p.hess_at[1], cols[::-1]))
+    p = dataclasses.replace(
+        p, lag_hess=lambda *args: np.append(lag_hess(*args), [0.0, 0.0]), hess_at=at
+    )
+    name = rf"Lagrangian Hessian entry \({cols[0]}, {cols[1]}\)"
+    with pytest.raises(ValueError, match=f"^{name} spans the columns of two owners$"):
         solve_nlp(p)
 
 
@@ -516,9 +571,8 @@ def test_constraint_jacobians_match_fd(fixture, request, rng):
     problem = assemble_standard(case)
     count = 20 if case.n_bus < 50 else 5
     for x in _interior_points(problem, rng, count):
-        g, jg = problem.eq(x)
+        g, jg, h, jh = dense_derivatives(problem, x)
         assert rel_err(fd_jacobian(lambda z: problem.eq(z)[0], x, h=1e-6), jg) < 1e-5
-        h, jh = problem.ineq(x)
         if len(h):
             assert (
                 rel_err(fd_jacobian(lambda z: problem.ineq(z)[0], x, h=1e-6), jh) < 1e-5
@@ -559,9 +613,8 @@ def test_lagrangian_hessian_matches_fd(fixture, request, rng):
 
         def grad_l(z):
             _, df = problem.objective(z)
-            _, jg = problem.eq(z)
-            _, jh = problem.ineq(z)
+            _, jg, _, jh = dense_derivatives(problem, z)
             return df + jg.T @ lam + jh.T @ mu
 
-        hess = problem.lag_hess(x, 1.0, lam, mu)
+        hess = dense_hessian(problem, x, 1.0, lam, mu)
         assert rel_err(fd_jacobian(grad_l, x, h=1e-6), hess) < 1e-4
