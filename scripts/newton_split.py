@@ -3,8 +3,8 @@
 
 Runs operation --trial of the perfbench tso-dispatch workload at --seed (the
 standard AC-OPF on the integrated network with its DG charts, the
-privacy-preserving OPF and the verification re-solve) twice, with one BLAS
-thread.  The first run is timed as it is.  The second records the arguments
+privacy-preserving OPF and the verification re-solve) with one BLAS
+thread, --reps times as it is and once more recording the arguments
 of every call of the problem callbacks (objective, equalities,
 inequalities, lag_hess: values on their patterns) and of every
 ``KktBlocks.form`` (the H, Jg and Jh values, the row weights and the
@@ -13,9 +13,10 @@ repeated --reps times and its fastest repetition kept.  One JSON line per
 solve gives its status, iterations, Newton system size and, in ms, the
 median over its calls of each callback, their sum (callbacks_ms: one call
 of each is made per iteration), the median of form and of solve (every
-solve call, regularization attempts included), the first run's
-solve_time per iteration (iter_ms), and what that leaves for the solver's
-own loop (other_ms = iter_ms - callbacks_ms - form_ms - solve_ms):
+solve call, regularization attempts included), the fastest solve_time
+per iteration of the unrecorded runs (iter_ms), and what that leaves for
+the solver's own loop (other_ms = iter_ms - callbacks_ms - form_ms -
+solve_ms):
 
     python scripts/newton_split.py --seed 5 --trial 0 --reps 15
 
@@ -82,7 +83,7 @@ class Split:
 
     def __init__(self, reps: int, timed: list):
         self.reps = reps
-        self.timed = timed  # the same solves, run unrecorded
+        self.timed = timed  # per unrecorded run of the operation, its solves
         self.rows = []
         self.systems = []  # per form: (blocks, form args, [solve args])
 
@@ -127,9 +128,9 @@ class Split:
             solves += [best_ms(SOLVE, (blocks, *a), self.reps) for a in solve_args]
         row["form_ms"] = statistics.median(forms) if forms else 0.0
         row["solve_ms"] = statistics.median(solves) if solves else 0.0
-        plain = self.timed[len(self.rows)]
-        if plain.iterations:
-            row["iter_ms"] = 1e3 * plain.solve_time / plain.iterations
+        plain = [run[len(self.rows)] for run in self.timed]
+        if sol.iterations:
+            row["iter_ms"] = 1e3 * min(p.solve_time for p in plain) / sol.iterations
             row["other_ms"] = row["iter_ms"] - row["callbacks_ms"] - row["form_ms"] - row["solve_ms"]
         self.rows.append({k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()})
         self.systems = []
@@ -148,12 +149,14 @@ def main(argv=None) -> int:
     timed = []
 
     def plain(problem, opts=None):
-        timed.append(SOLVE_NLP(problem, opts))
-        return timed[-1]
+        timed[-1].append(SOLVE_NLP(problem, opts))
+        return timed[-1][-1]
 
     acopf.solve_nlp = ppopf.solve_nlp = plain
     try:
-        dispatch.op(state, args.trial)
+        for _ in range(args.reps):
+            timed.append([])
+            dispatch.op(state, args.trial)
     finally:
         acopf.solve_nlp = ppopf.solve_nlp = SOLVE_NLP
     split = Split(args.reps, timed)
