@@ -131,7 +131,8 @@ class Split:
         plain = [run[len(self.rows)] for run in self.timed]
         if sol.iterations:
             row["iter_ms"] = 1e3 * min(p.solve_time for p in plain) / sol.iterations
-            row["other_ms"] = row["iter_ms"] - row["callbacks_ms"] - row["form_ms"] - row["solve_ms"]
+            parts = row["callbacks_ms"] + row["form_ms"] + row["solve_ms"]
+            row["other_ms"] = row["iter_ms"] - parts
         self.rows.append({k: round(v, 4) if isinstance(v, float) else v for k, v in row.items()})
         self.systems = []
         return sol

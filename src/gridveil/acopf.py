@@ -596,12 +596,8 @@ class KktBlocks:
             lr[pin], problem.lin_val[pin] * problem.lb[lc[pin]], nlin
         )
         self.touch = [
-            np.unique(
-                np.concatenate(
-                    [self.h_at[border + 1 + b][1] % width, self.g_at[border + 1 + b][1] % width, g.t]
-                )
-            )
-            for b, g in enumerate(self.groups[:-1])
+            np.unique(np.concatenate([h[1] % width, g[1] % width, grp.t]))
+            for h, g, grp in zip(self.h_at[border + 1 :], self.g_at[border + 1 :], self.groups)
         ]
         self.m_diag = [None] * len(self.parts)
 
@@ -616,7 +612,8 @@ class KktBlocks:
         for b in (last, *range(last)):
             grp, a, nc = self.groups[b], self.mats[b], len(self.parts[b][0])
             grp.j.ravel()[grp.flat] = jv[grp.take]
-            prod = grp.j.T @ (w[grp.rows, None] * grp.j)
+            np.multiply(w[grp.rows, None], grp.j, out=grp.wj)
+            prod = np.matmul(grp.j.T, grp.wj, out=grp.prod)
             a[:nc, :nc] = prod[:nc, :nc]
             if b < last:
                 s = self.strips[b]
@@ -676,7 +673,8 @@ class _Group:
     """The rows of Jh in one block's group, as a dense matrix j over the
     block's columns and then the border columns it touches (at border
     positions t): the inequalities rows, whose distinct entries take are
-    written at flat on each form, then the linear rows, written once."""
+    written at flat on each form, then the linear rows, written once; wj
+    and prod hold form's W j and j^T W j."""
 
     j: np.ndarray
     rows: np.ndarray  # in Jh: an inequalities row, or nnl + a linear row
@@ -690,6 +688,8 @@ class _Group:
     def __post_init__(self):
         self.n_nl = int(np.searchsorted(self.rows, self.nnl))
         self.lin = self.rows[self.n_nl :] - self.nnl
+        self.wj = np.empty_like(self.j)
+        self.prod = np.empty((self.j.shape[1],) * 2)
 
 
 def _distinct(at: tuple, width: int):
@@ -730,14 +730,14 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
     of buffers per solve: each block is eliminated against the border
     entries it touches, then the border's Schur complement is solved.  A
     singular block or complement, or a non-finite step, takes the next step
-    of one regularization ladder on the whole system.  Bound slacks and multipliers count in the convergence tests
-    like those of the user rows; a pinned column's stationarity does not,
-    as its multiplier is free.  A solve stopped at the iteration cap is
-    iteration_limit, whatever its last violation, and its message names the
-    cap and the last residuals; infeasible is kept for a breakdown, a KKT
-    system singular beyond regularization or diverged iterates, named in
-    the message.  A problem needs at least one inequality row or finite
-    bound, for its barrier.
+    of one regularization ladder on the whole system.  Bound slacks and
+    multipliers count in the convergence tests like those of the user rows;
+    a pinned column's stationarity does not, as its multiplier is free.  A
+    solve stopped at the iteration cap is iteration_limit, whatever its
+    last violation, and its message names the cap and the last residuals;
+    infeasible is kept for a breakdown, a KKT system singular beyond
+    regularization or diverged iterates, named in the message.  A problem
+    needs at least one inequality row or finite bound, for its barrier.
     """
     opts = opts or NlpOptions()
     t0 = time.perf_counter()

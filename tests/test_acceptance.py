@@ -326,7 +326,8 @@ def test_c08_gradient_audits(toy3, ts30, integrated):
             want = dense_opf_derivatives(case, x, 1.0, np.zeros(len(g)), np.zeros(len(h)))
             for got, ref in ((jg, want[0]), (jh, want[1])):
                 if len(got):
-                    worst_oracle = max(worst_oracle, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+                    diff = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                    worst_oracle = max(worst_oracle, diff)
     assert worst_jac < 1e-5
     assert worst_oracle <= 1e-12
     print(
