@@ -159,8 +159,9 @@ class NetworkCase:
     chart row get their rectangle box on demand (``charts_for``).
     ``meta`` carries provenance of an integrated case (per-DS bus and branch
     ownership) and never round-trips through case files.  The bus index, the
-    branch table and the admittance matrix are derived from the fields on
-    first use, so ``dataclasses.replace`` always starts from fresh ones.
+    branch table, the admittance matrix and a single-DS case's Newton pattern
+    are derived from the fields on first use, so ``dataclasses.replace``
+    always starts from fresh ones.
     """
 
     name: str
@@ -197,6 +198,13 @@ class NetworkCase:
     @cached_property
     def ybus(self) -> np.ndarray:
         return build_admittance(self)
+
+    @cached_property
+    def newton_pattern(self):
+        """The Newton system of this single-DS case and its sparse LU order."""
+        from .powerflow import NewtonPattern  # powerflow imports this module
+
+        return NewtonPattern(self)
 
     def slack_buses(self) -> list[int]:
         return [b.id for b in self.buses if b.kind == "slack"]

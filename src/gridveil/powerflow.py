@@ -1,12 +1,15 @@
 """Newton-Raphson AC power flow and the distribution-side response map.
 
-The solver is dense and polar, sized for networks of a few hundred buses.
+``newton_pf`` is dense and polar, sized for networks of a few hundred buses.
 Any number of buses may be declared fixed (voltage magnitude and angle held),
 which is how a distribution case is driven from its coupling points: every
 PCC bus becomes a voltage source at the sampled magnitude and zero angle.
 ``ds_response`` labels one such operating point; ``ds_response_batch`` runs
-the same Newton iterates for any number of points, in fixed blocks with one
-stacked solve per iteration, after MATPOWER's vectorised ``newtonpf``/``dSbus_dV``.
+the same Newton iterates for any number of points, in fixed blocks, after
+MATPOWER's vectorised ``newtonpf``/``dSbus_dV``.  Its Newton systems live on
+the fixed pattern of the feeder's Y_ff, and each iteration factors them all
+at once with a sparse LU in minimum-degree order (``NewtonPattern``; Tinney &
+Walker, Proc. IEEE 55(11), 1967), whose symbolic part is built once per case.
 """
 
 from __future__ import annotations
@@ -18,17 +21,26 @@ import numpy as np
 from .netmodel import NetworkCase
 
 # Rows per Newton block of ``ds_response_batch``.  A block's iterations share
-# one mismatch product and one stacked solve, so a larger block spreads the
-# Python overhead over more rows, but its (rows, 2m, 2m) Jacobian stack grows
-# with it.  In one 30 s ds-labelling benchmark run each, 8-, 16- and 32-row
-# blocks took 164, 142 and 144 ms per operation and raised peak RSS over the
-# per-row labeller (43.4 MB) by 1.6 %, 4.0 % and 8.2 %.  The size also fixes
-# the results: a row's products round with the rows of its block.
-BLOCK_ROWS = 16
+# one mismatch product and one sparse LU whose NumPy calls each span every row
+# of the block, so a larger block spreads the Python overhead over more rows,
+# but its work array and Jacobian temporaries grow with it (a ds2 call peaks
+# at about 14 KB per row).  In two 30 s ds-labelling benchmark runs each
+# (seed 1702, one BLAS thread), the former 16-row dense labeller took 107-111
+# ms per operation at 44.4 MB peak RSS; 64-, 128- and 256-row blocks took
+# 53-54, 42-43 and 39-43 ms and raised peak RSS by 1.9 %, 4.7 % and 9.0 %.
+# The size also fixes the results: a row's products round with the rows of
+# its block.
+BLOCK_ROWS = 128
 
 # Newton stop on the largest bus mismatch, p.u., of the scalar flow and the
 # batched labeller; a stop at 1e-8 could leave a PCC flow about 2e-6 MW off.
 NEWTON_TOL = 1e-9
+
+# Schur-complement updates per NumPy call of ``NewtonPattern.solve``; a call
+# holds four temporaries of (LU_CHUNK, rows) floats.  ds2's first level makes
+# 300 updates; left whole, they raised a 10 s ds-labelling run's peak RSS
+# from 46.4 to 47.3 MB.
+LU_CHUNK = 64
 
 
 def dSbus_dV(ybus: np.ndarray, v: np.ndarray):
@@ -237,19 +249,165 @@ def ds_response(
     return DsResponse(rep.ok, 0 if rep.ok else 1, p_pcc, q_pcc, True, res.v, rep)
 
 
-def _newton_steps(jac: np.ndarray, f: np.ndarray):
-    """Stacked Newton steps; a singular row gets NaN steps and ok False."""
-    try:
-        return np.linalg.solve(jac, f[..., None])[..., 0], np.ones(len(f), dtype=bool)
-    except np.linalg.LinAlgError:
-        dx = np.full_like(f, np.nan)
-        ok = np.ones(len(f), dtype=bool)
-        for k in range(len(f)):
-            try:
-                dx[k] = np.linalg.solve(jac[k], f[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        return dx, ok
+def _min_degree(pattern: np.ndarray):
+    """Minimum-degree elimination of a symmetric pattern (Tinney & Walker).
+
+    Ties go to the node of the lower elimination-tree level, then to the
+    lower index, which keeps the tree of a radial feeder shallow.  Returns the
+    elimination order, each node's level (0 for a leaf of the tree, else one
+    above its highest child) and the pattern with its fill-in.
+    """
+    m = len(pattern)
+    adj = [set(np.flatnonzero(row)) - {i} for i, row in enumerate(pattern)]
+    level = [0] * m
+    filled = pattern.copy()
+    left, order = set(range(m)), []
+    while left:
+        k = min(left, key=lambda i: (len(adj[i]), level[i], i))
+        left.remove(k)
+        order.append(k)
+        nb = sorted(adj[k])
+        filled[np.ix_(nb, nb)] = True
+        for i in nb:
+            adj[i] |= adj[k]
+            adj[i] -= {i, k}
+            level[i] = max(level[i], level[k] + 1)
+    return order, np.array(level), filled
+
+
+class NewtonPattern:
+    """The Newton system of a single-DS case on its fixed pattern, with the
+    symbolic part of a sparse LU of it; built once per case and kept as
+    ``NetworkCase.newton_pattern``.
+
+    The unknowns are the angles, then the magnitudes, of the free buses
+    ``fr`` (all but the PCCs).  J11, J12, J21 and J22 each live on the
+    pattern (jr, jc) of Y_ff with the whole diagonal.  The systems of a block
+    of rows share one work array ``lu`` of shape (n_slots, rows), one column
+    per row: slots [0, 4 nnz) hold J11, J12, J21 and J22 in (jr, jc) order,
+    then come the fill-in and one pad slot, all zero before a factorization,
+    and from ``rhs`` on the right-hand side, which the solve overwrites with
+    the step.  The LU runs without pivoting, on buses in minimum-degree order,
+    angle before magnitude.  Buses of one elimination-tree level do not
+    depend on each other, so each level is eliminated with a fixed number of
+    NumPy calls over all its pivots and all rows; the right-hand side rides
+    along as an extra column, and back substitution runs level by level.
+    """
+
+    def __init__(self, case: NetworkCase):
+        couplings = next(iter(case.pcc_map.values()))
+        self.fixed = np.array([case.bus_index(ds_bus) for ds_bus, _ in couplings])
+        self.fr = fr = np.setdiff1d(np.arange(case.n_bus), self.fixed)
+        m = self.m = len(fr)
+        y_ff = case.ybus[np.ix_(fr, fr)]
+        pattern = (y_ff != 0) | np.eye(m, dtype=bool)
+        self.jr, self.jc = jr, jc = np.nonzero(pattern)
+        self.y_nz = np.conj(y_ff[jr, jc])[:, None]
+        self.dg, nnz = np.flatnonzero(jr == jc), len(jr)
+        self.nnz = nnz
+        order, level, filled = _min_degree(pattern)
+
+        # slot of every entry (row, col) of the filled 2m x 2m pattern, and
+        # of each unknown's right-hand side in the extra column 2m
+        n = 2 * m
+        slot = np.full((n, n + 1), -1)
+        for b, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            slot[jr + i * m, jc + j * m] = b * nnz + np.arange(nnz)
+        fill = np.kron(np.ones((2, 2), dtype=bool), filled) & (slot[:, :n] < 0)
+        slot[np.nonzero(fill)] = 4 * nnz + np.arange(fill.sum())
+        self.pad = 4 * nnz + int(fill.sum())
+        self.rhs = self.pad + 1
+        self.n_slots = self.rhs + n
+        slot[:, n] = self.rhs + np.arange(n)
+
+        rank = np.empty(n, dtype=int)
+        rank[order] = 2 * np.arange(m)
+        rank[m + np.array(order)] = 2 * np.arange(m) + 1
+        steps = []
+        for lev in range(level.max() + 1):
+            buses = np.flatnonzero(level == lev)
+            steps += [buses, m + buses]  # angles, then magnitudes
+
+        def later(p):
+            return [c for c in range(n) if rank[c] > rank[p] and slot[p, c] >= 0]
+
+        self.factor_steps = []
+        for pivots in steps:
+            l_pos, l_piv, updates = [], [], []
+            for p in pivots:
+                below = later(p)
+                l_pos += [slot[r, p] for r in below]
+                l_piv += [slot[p, p]] * len(below)
+                updates += [(slot[r, c], slot[r, p], slot[p, c]) for r in below for c in below + [n]]
+            # pivots of one step may update the same entry: one round per repeat
+            seen: dict[int, int] = {}
+            rounds: list[list] = []
+            for t, lo, up in updates:
+                k = seen[t] = seen.get(t, -1) + 1
+                if k == len(rounds):
+                    rounds.append([])
+                rounds[k].append((t, lo, up))
+            self.factor_steps.append(
+                (
+                    np.array(l_pos, dtype=np.intp),
+                    np.array(l_piv, dtype=np.intp),
+                    [
+                        tuple(map(np.array, zip(*rd[i : i + LU_CHUNK])))
+                        for rd in rounds
+                        for i in range(0, len(rd), LU_CHUNK)
+                    ],
+                )
+            )
+        self.back_steps = []
+        for pivots in reversed(steps):
+            rows = [[(slot[p, c], slot[c, n]) for c in later(p)] for p in pivots]
+            width = max(1, *map(len, rows))
+            pairs = np.array([r + [(self.pad, self.pad)] * (width - len(r)) for r in rows])
+            pivots = np.asarray(pivots)
+            self.back_steps.append((slot[pivots, n], slot[pivots, pivots], pairs[..., 0], pairs[..., 1]))
+
+    def load(self, vf: np.ndarray, i_f: np.ndarray, f: np.ndarray, lu: np.ndarray) -> None:
+        """Write the Newton systems at free-bus voltages vf (rows, m), their
+        currents i_f and mismatches f (rows, 2m) into the columns of lu.
+
+        The free x free blocks of dSbus_dV on the pattern of Y_ff: with
+        A = diag(V) conj(Ybus) diag(conj V), dS/dVa = j (diag(V conj I) - A)
+        and dS/dVm = A diag(1/|V|) + diag(conj(I) V/|V|).
+        """
+        nnz, dg = self.nnz, self.dg
+        vt, it = vf.T, i_f.T
+        vmag = np.abs(vt)
+        a = vt[self.jr]
+        a *= self.y_nz
+        a *= np.conjugate(vt[self.jc])
+        lu[:nnz] = a.imag
+        np.negative(a.real, out=lu[2 * nnz : 3 * nnz])
+        a /= vmag[self.jc]
+        lu[nnz : 2 * nnz] = a.real
+        lu[3 * nnz : 4 * nnz] = a.imag
+        d_va = vt * np.conj(it)
+        d_vm = np.conj(it) * vt / vmag
+        lu[dg] -= d_va.imag
+        lu[nnz + dg] += d_vm.real
+        lu[2 * nnz + dg] += d_va.real
+        lu[3 * nnz + dg] += d_vm.imag
+        lu[4 * nnz : self.rhs] = 0.0
+        lu[self.rhs :] = f.T
+
+    def solve(self, lu: np.ndarray) -> np.ndarray:
+        """Factor the systems of lu in place and return their steps, (2m, rows).
+
+        A zero or tiny pivot leaves non-finite entries in its row's column
+        only; no other column is touched.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for l_pos, l_piv, rounds in self.factor_steps:
+                lu[l_pos] /= lu[l_piv]
+                for t, lo, up in rounds:
+                    lu[t] -= lu[lo] * lu[up]
+            for x, d, u, xu in self.back_steps:
+                lu[x] = (lu[x] - (lu[u] * lu[xu]).sum(axis=1)) / lu[d]
+        return lu[self.rhs :]
 
 
 def ds_response_batch(case: NetworkCase, x: np.ndarray):
@@ -259,10 +417,10 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
     consecutive blocks of ``BLOCK_ROWS``, cut from the first row.  In a block
     every row runs the same polar Newton iterates as ``newton_pf`` from a flat
     start, with its tol ``NEWTON_TOL`` and max_iter 30 as ``ds_response`` uses
-    them, but the block shares one mismatch product and one stacked solve per
-    iteration; a row stops at its own outcome (converged, non-finite
-    mismatch, singular Jacobian, or max_iter).  Limits are checked as in
-    ``check_limits``.
+    them, but the block shares one mismatch product and one sparse LU
+    (``NewtonPattern``) per iteration; a row stops at its own outcome
+    (converged, non-finite mismatch, non-finite step, or max_iter).  Limits
+    are checked as in ``check_limits``.
 
     Returns (label, p_pcc, q_pcc): labels 0/1 and export flows in MW/MVAr,
     NaN on every infeasible row.
@@ -270,30 +428,21 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
     tol, max_iter = NEWTON_TOL, 30
     if len(case.pcc_map) != 1:
         raise ValueError("ds_response_batch expects a single-DS case")
-    couplings = next(iter(case.pcc_map.values()))
-    fixed = np.array([case.bus_index(ds_bus) for ds_bus, _ in couplings])
-    r, n_gen = len(fixed), case.n_gen
+    r, n_gen = len(next(iter(case.pcc_map.values()))), case.n_gen
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != r + 2 * n_gen:
         raise ValueError(f"expected rows of {r} PCC voltages and 2 x {n_gen} DG setpoints")
 
-    # per call: the pattern (jr, jc) of Y_ff in free-bus positions with the
-    # whole diagonal included, and its flat positions in J11, J12, J21, J22
+    pat = case.newton_pattern
+    fixed, fr, m = pat.fixed, pat.fr, pat.m
     ybus, base, tab = case.ybus, case.base_mva, case.branch_table
-    fr = np.setdiff1d(np.arange(case.n_bus), fixed)
-    m = len(fr)
-    y_ff = ybus[np.ix_(fr, fr)]
-    jr, jc = np.nonzero((y_ff != 0) | np.eye(m, dtype=bool))
-    y_nz, dg, nnz = np.conj(y_ff[jr, jc]), np.flatnonzero(jr == jc), len(jr)
-    jac_pos = np.concatenate([(jr + i * m) * 2 * m + jc + j * m for i in (0, 1) for j in (0, 1)])
     s_load = np.array([complex(-b.p_d, -b.q_d) for b in case.buses])
     gen_inc = case.gen_incidence().T
     v_min = np.array([b.v_min for b in case.buses])
     v_max = np.array([b.v_max for b in case.buses])
     s_max = tab.s_max[tab.rated]
-    # one Jacobian buffer per call: each iteration fills the pattern of a
-    # leading slice, and the entries off the pattern stay zero
-    jac_buf = np.zeros((min(len(x), BLOCK_ROWS), 4 * m * m))
+    # one work array per call: each iteration's systems fill a leading slice
+    work = np.empty(pat.n_slots * min(len(x), BLOCK_ROWS))
 
     def evaluate(rows):
         v = vm[rows] * np.exp(1j * va[rows])
@@ -321,24 +470,10 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
         for _ in range(max_iter):
             if not active.size:
                 break
-            # the free x free blocks of dSbus_dV on the pattern of Y_ff, all
-            # active rows at once: with A = diag(V) conj(Ybus) diag(conj V),
-            # dS/dVa = j (diag(V conj I) - A), dS/dVm = A diag(1/|V|) + diag(conj(I) V/|V|)
-            vf, i_f = v[active][:, fr], ibus[active][:, fr]
-            vmag = np.abs(vf)
-            a = vf[:, jr] * y_nz * np.conj(vf[:, jc])
-            a_vm = a / vmag[:, jc]
-            d_va = vf * np.conj(i_f)
-            d_vm = np.conj(i_f) * vf / vmag
-            vals = np.concatenate([a.imag, a_vm.real, -a.real, a_vm.imag], axis=1)
-            vals[:, dg] -= d_va.imag
-            vals[:, nnz + dg] += d_vm.real
-            vals[:, 2 * nnz + dg] += d_va.real
-            vals[:, 3 * nnz + dg] += d_vm.imag
-            jac = jac_buf[: len(active)]
-            jac[:, jac_pos] = vals
-
-            dx, ok = _newton_steps(jac.reshape(-1, 2 * m, 2 * m), f[active])
+            lu = work[: pat.n_slots * len(active)].reshape(pat.n_slots, -1)
+            pat.load(v[np.ix_(active, fr)], ibus[np.ix_(active, fr)], f[active], lu)
+            dx = pat.solve(lu).T
+            ok = np.isfinite(dx).all(axis=1)
             failed[active[~ok]] = True
             active, dx = active[ok], dx[ok]
             va[active[:, None], fr] -= dx[:, :m]

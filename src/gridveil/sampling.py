@@ -21,6 +21,7 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -255,11 +256,14 @@ def write_sidecar(path, meta: dict) -> None:
     write_json(_sidecar(path), meta, sort_keys=True)
 
 
+def json_text(obj, sort_keys: bool = False) -> str:
+    """The text of one JSON artifact: one-space indent and a closing newline."""
+    return json.dumps(obj, indent=1, sort_keys=sort_keys) + "\n"
+
+
 def write_json(path, obj, sort_keys: bool = False) -> None:
-    """Write one JSON artifact: one-space indent and a closing newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
-        fh.write("\n")
+    """Write one JSON artifact (``json_text``) in one write."""
+    Path(path).write_text(json_text(obj, sort_keys))
 
 
 def _parse_error(lines, header_width: int) -> ValueError:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .netmodel import CostPoly, PQChart, polygon_from_vertices
-from .sampling import Dataset, write_json
+from .sampling import Dataset, json_text
 
 F_CLAMP = 30.0  # sigmoid saturates to within 1e-13 beyond this
 FORWARD_ROWS = 128  # rows of W x + b formed at once, 1 MB at 1000 nodes
@@ -56,25 +57,30 @@ class PolytopeModel:
         return -self.b
 
 
-def _max_node(model: PolytopeModel, x: np.ndarray):
+def _max_node(model: PolytopeModel, x: np.ndarray, scratch: np.ndarray | None = None):
     """(k, f) for each row of x: the first argmax k of o = W x + b, and f = o[k].
 
     o is formed FORWARD_ROWS rows at a time and b is added in place, so one
     block stays in cache; a (rows, n_h) array for a whole batch, plus its sum
-    with b, is fresh memory that page-faults on every training step.  With
-    two or more nodes, a block of two or more rows rounds as the whole
-    product does, so no block is left with a single row: BLAS computes a
-    one-row product by another kernel.
+    with b, is fresh memory that page-faults on every training step.  The
+    blocks are formed in a (FORWARD_ROWS + 1, n_h) ``scratch``, which a
+    caller that runs many passes owns and passes in.  With two or more
+    nodes, a block of two or more rows rounds as the whole product does, so
+    no block is left with a single row: BLAS computes a one-row product by
+    another kernel.
     """
     n = len(x)
     k = np.empty(n, dtype=np.intp)
     f = np.empty(n)
+    if scratch is None:
+        scratch = np.empty((min(n, FORWARD_ROWS + 1), model.n_h))
     lo = 0
     while lo < n:
         hi = lo + FORWARD_ROWS
         if hi == n - 1:
             hi = n
-        o = x[lo:hi] @ model.w.T
+        xb = x[lo:hi]
+        o = np.matmul(xb, model.w.T, out=scratch[: len(xb)])
         o += model.b
         k[lo:hi] = kb = o.argmax(axis=1)
         f[lo:hi] = o[np.arange(len(o)), kb]
@@ -91,16 +97,25 @@ def classify(model: PolytopeModel, x: np.ndarray):
     return label
 
 
-def loss_and_grad(model: PolytopeModel, x: np.ndarray, y: np.ndarray, w_10: float, w_01: float):
+def loss_and_grad(
+    model: PolytopeModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    w_10: float,
+    w_01: float,
+    *,
+    scratch: np.ndarray | None = None,
+):
     """Weighted binary cross-entropy (sum reduction) and its exact gradient.
 
     Infeasible terms (y=1) carry w_10, feasible terms w_01.  The max routes
     each sample's gradient to its lowest-index argmax node.  log-sigmoid is
-    evaluated as a softplus and f is clamped to +-F_CLAMP.
+    evaluated as a softplus and f is clamped to +-F_CLAMP.  ``scratch`` is
+    the forward pass's work array, as in ``_max_node``.
     """
     x = np.atleast_2d(x)
     y = np.asarray(y, dtype=float)
-    k, f = _max_node(model, x)
+    k, f = _max_node(model, x, scratch)
     f = np.clip(f, -F_CLAMP, F_CLAMP)
     # -log sigmoid(f) = softplus(-f), -log(1 - sigmoid(f)) = softplus(f)
     loss = float(np.sum(w_10 * y * np.logaddexp(0.0, -f) + w_01 * (1.0 - y) * np.logaddexp(0.0, f)))
@@ -134,6 +149,7 @@ def _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng):
     w = rng.normal(0.0, 0.1, size=(n_h, z_fit.shape[1]))
     b = np.full(n_h, -0.5)
     model = PolytopeModel(w, b)
+    scratch = np.empty((FORWARD_ROWS + 1, n_h))  # the forward pass's blocks, reused
 
     m_w = np.zeros_like(w)
     v_w = np.zeros_like(w)
@@ -155,7 +171,7 @@ def _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng):
         order = rng.permutation(n_fit)
         for lo in range(0, n_fit, hyper.batch):
             idx = order[lo : lo + hyper.batch]
-            loss, gw, gb = loss_and_grad(model, z_fit[idx], y_fit[idx], w_10, w_01)
+            loss, gw, gb = loss_and_grad(model, z_fit[idx], y_fit[idx], w_10, w_01, scratch=scratch)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
             gw /= len(idx)
@@ -170,7 +186,7 @@ def _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng):
             w -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
             b -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
 
-        val_loss, _, _ = loss_and_grad(model, z_val, y_val, w_10, w_01)
+        val_loss, _, _ = loss_and_grad(model, z_val, y_val, w_10, w_01, scratch=scratch)
         val_loss /= len(z_val)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, w.copy(), b.copy(), epoch)
@@ -568,8 +584,9 @@ def export_bundle(bundle: SurrogateBundle, path) -> None:
         "charts": [[list(v) for v in chart.vertices] for chart in bundle.charts],
         "costs": [{"a": c.a, "b": c.b, "c": c.c} for c in bundle.costs],
     }
-    validate_bundle_dict(json.loads(json.dumps(d)))
-    write_json(path, d)
+    text = json_text(d)
+    validate_bundle_dict(json.loads(text))
+    Path(path).write_text(text)
 
 
 def import_bundle(path) -> SurrogateBundle:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gridveil.netmodel import parse_case
 from gridveil.powerflow import (
     BLOCK_ROWS,
-    _newton_steps,
     check_limits,
     dSbus_dV,
     ds_response,
@@ -317,12 +316,52 @@ def test_ds_response_batch_rejects_bad_shapes(ds1):
         ds_response_batch(ds1, np.ones(3))
 
 
-def test_newton_steps_solve_singular_rows_one_by_one():
-    rng = np.random.default_rng(0)
-    jac = rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
-    jac[1] = 0.0
-    f = rng.normal(size=(3, 4))
-    dx, ok = _newton_steps(jac, f)
-    assert list(ok) == [True, False, True]
-    for k in (0, 2):
-        assert np.allclose(jac[k] @ dx[k], f[k])
+def _newton_iterates(case, n, seed):
+    """Bus voltages and currents of n rows after one or two Newton steps of
+    ``newton_pf`` from random PCC voltages and DG injections."""
+    rng = np.random.default_rng(seed)
+    (couplings,) = case.pcc_map.values()
+    v = []
+    for k in range(n):
+        fixed = {bus: complex(rng.uniform(0.97, 1.03)) for bus, _ in couplings}
+        p_inj = {g.bus: rng.uniform(0, 1.5) for g in case.generators}
+        q_inj = {g.bus: rng.uniform(-0.5, 0.5) for g in case.generators}
+        res = newton_pf(case, fixed=fixed, pv={}, p_inj=p_inj, q_inj=q_inj, max_iter=1 + k % 2)
+        v.append(res.v)
+    v = np.array(v)
+    return v, v @ case.ybus.T
+
+
+def _sparse_steps(pat, v, ibus, f):
+    lu = np.empty((pat.n_slots, len(v)))
+    pat.load(v[:, pat.fr], ibus[:, pat.fr], f, lu)
+    return pat.solve(lu).T
+
+
+@pytest.mark.parametrize("name", ["ds1", "ds2"])
+def test_newton_pattern_step_matches_dense_solve(name, request):
+    # ds1 is radial with one PCC, ds2 meshed with two
+    case = request.getfixturevalue(name)
+    pat = case.newton_pattern
+    v, ibus = _newton_iterates(case, 6, seed=4)
+    f = np.random.default_rng(5).normal(size=(len(v), 2 * pat.m))
+    dx = _sparse_steps(pat, v, ibus, f)
+    fr = pat.fr
+    for k in range(len(v)):
+        ds_dva, ds_dvm = dSbus_dV(case.ybus, v[k])
+        a, m = ds_dva[np.ix_(fr, fr)], ds_dvm[np.ix_(fr, fr)]
+        want = np.linalg.solve(np.block([[a.real, m.real], [a.imag, m.imag]]), f[k])
+        assert np.max(np.abs(dx[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_newton_pattern_flags_only_the_singular_row(ds2):
+    pat = ds2.newton_pattern
+    v, ibus = _newton_iterates(ds2, 3, seed=6)
+    f = np.random.default_rng(7).normal(size=(3, 2 * pat.m))
+    lu = np.empty((pat.n_slots, 3))
+    pat.load(v[:, pat.fr], ibus[:, pat.fr], f, lu)
+    lu[: 4 * pat.nnz, 1] = 0.0  # an all-zero Jacobian: its first pivot is zero
+    dx = pat.solve(lu).T
+    assert list(np.isfinite(dx).all(axis=1)) == [True, False, True]
+    alone = _sparse_steps(pat, v[[0, 2]], ibus[[0, 2]], f[[0, 2]])
+    assert dx[[0, 2]].tobytes() == alone.tobytes()

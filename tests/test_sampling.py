@@ -152,11 +152,12 @@ def test_labelled_flows_match_a_tight_newton_flow(ds3):
 
 
 def test_generate_dataset_worker_count_invariance(ds1):
-    # ds1 has no charts, so all 121 rows are labelled and the last block is short
-    assert 121 % BLOCK_ROWS
-    a = generate_dataset(ds1, 121, seed=9, jobs=1)
+    # ds1 has no charts, so every row is labelled: three full blocks and a
+    # short one, which two and three workers split differently
+    n = 3 * BLOCK_ROWS + 5
+    a = generate_dataset(ds1, n, seed=9, jobs=1)
     for jobs in (2, 3):
-        b = generate_dataset(ds1, 121, seed=9, jobs=jobs)
+        b = generate_dataset(ds1, n, seed=9, jobs=jobs)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.label, b.label)
         assert np.array_equal(a.p_pcc, b.p_pcc, equal_nan=True)
