@@ -4,7 +4,9 @@ The feasibility classifier is a single affine layer followed by a max
 aggregator and a sigmoid: o = W x + b, f = max(o), y = sigmoid(f).  A point
 is classified feasible when f <= 0, so the decision boundary IS the polytope
 A_FR x <= b_FR with A_FR = W and b_FR = -b; training the network trains the
-polytope directly and nothing is lost in translation.
+polytope directly and nothing is lost in translation.  The model keeps
+[W | b] in one array, so o is one product of [x, 1] with it, and training
+updates W and b as that one array.
 
 PCC flows over the feasible region are fitted by full quadratic least
 squares.  Both models ship to the transmission side in a JSON bundle whose
@@ -24,7 +26,7 @@ from .netmodel import CostPoly, PQChart, polygon_from_vertices
 from .sampling import Dataset, json_text
 
 F_CLAMP = 30.0  # sigmoid saturates to within 1e-13 beyond this
-FORWARD_ROWS = 128  # rows of W x + b formed at once, 1 MB at 1000 nodes
+FORWARD_ROWS = 128  # rows of [x, 1] [W | b]^T formed at once, 1 MB at 1000 facets
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +36,25 @@ FORWARD_ROWS = 128  # rows of W x + b formed at once, 1 MB at 1000 nodes
 
 @dataclass
 class PolytopeModel:
-    """w, b of the affine layer; facets are a_fr = w, b_fr = -b."""
+    """w, b of the affine layer; facets are a_fr = w, b_fr = -b.
+
+    The constructor copies w and b into one (n_h, n_x + 1) array ``wb`` =
+    [W | b] and keeps w and b as views of it, so the forward pass needs no
+    copy and an in-place update of wb is one of w and b.
+    """
 
     w: np.ndarray  # (n_h, n_x)
     b: np.ndarray  # (n_h,)
     meta: dict = field(default_factory=dict)
+    wb: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n_h, n_x = np.shape(self.w)
+        self.wb = np.empty((n_h, n_x + 1))
+        self.wb[:, :n_x] = self.w
+        self.wb[:, n_x] = self.b
+        self.w = self.wb[:, :n_x]
+        self.b = self.wb[:, n_x]
 
     @property
     def n_h(self) -> int:
@@ -57,31 +73,42 @@ class PolytopeModel:
         return -self.b
 
 
-def _max_node(model: PolytopeModel, x: np.ndarray, scratch: np.ndarray | None = None):
-    """(k, f) for each row of x: the first argmax k of o = W x + b, and f = o[k].
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """[x, 1]: the rows of x with a last column of ones."""
+    x1 = np.empty((len(x), x.shape[1] + 1))
+    x1[:, :-1] = x
+    x1[:, -1] = 1.0
+    return x1
 
-    o is formed FORWARD_ROWS rows at a time and b is added in place, so one
-    block stays in cache; a (rows, n_h) array for a whole batch, plus its sum
-    with b, is fresh memory that page-faults on every training step.  The
-    blocks are formed in a (FORWARD_ROWS + 1, n_h) ``scratch``, which a
-    caller that runs many passes owns and passes in.  With two or more
-    nodes, a block of two or more rows rounds as the whole product does, so
-    no block is left with a single row: BLAS computes a one-row product by
-    another kernel.
+
+def _max_node(wb: np.ndarray, x1: np.ndarray, scratch: np.ndarray | None = None):
+    """(k, f) for each row of x1 = [x, 1]: the first argmax k of o = [W | b] x1, f = o[k].
+
+    o is formed FORWARD_ROWS rows at a time, each block by one BLAS product,
+    so one block stays in cache; a (rows, n_h) array for a whole batch is
+    fresh memory that page-faults on every training step.  The blocks are
+    formed in a (FORWARD_ROWS + 1, n_h) ``scratch``, which a caller that runs
+    many passes owns and passes in.
+
+    A GEMM kernel sums each output over the inner dimension in one chain and
+    stores it last, so b * 1, the last term, is added after W x: with two or
+    more rows and two or more facets the product is bitwise x W^T + b.  No
+    block is left with a single row.  A one-row or one-facet product goes to
+    BLAS's matrix-vector kernel instead and may differ from W x + b in the
+    last bit: a one-row x, a one-facet model, or a one-row training batch.
     """
-    n = len(x)
+    n = len(x1)
     k = np.empty(n, dtype=np.intp)
     f = np.empty(n)
     if scratch is None:
-        scratch = np.empty((min(n, FORWARD_ROWS + 1), model.n_h))
+        scratch = np.empty((min(n, FORWARD_ROWS + 1), len(wb)))
     lo = 0
     while lo < n:
         hi = lo + FORWARD_ROWS
         if hi == n - 1:
             hi = n
-        xb = x[lo:hi]
-        o = np.matmul(xb, model.w.T, out=scratch[: len(xb)])
-        o += model.b
+        xb = x1[lo:hi]
+        o = np.matmul(xb, wb.T, out=scratch[: len(xb)])
         k[lo:hi] = kb = o.argmax(axis=1)
         f[lo:hi] = o[np.arange(len(o)), kb]
         lo = hi
@@ -90,7 +117,7 @@ def _max_node(model: PolytopeModel, x: np.ndarray, scratch: np.ndarray | None = 
 
 def classify(model: PolytopeModel, x: np.ndarray):
     """0 (feasible) iff max(a_fr . x - b_fr) <= 0, else 1; batch-aware."""
-    _, f = _max_node(model, np.atleast_2d(x))
+    _, f = _max_node(model.wb, _with_ones(np.atleast_2d(x)))
     label = (f > 0).astype(np.int8)
     if np.ndim(x) == 1:
         return int(label[0])
@@ -110,24 +137,24 @@ def loss_and_grad(
 
     Infeasible terms (y=1) carry w_10, feasible terms w_01.  The max routes
     each sample's gradient to its lowest-index argmax node.  log-sigmoid is
-    evaluated as a softplus and f is clamped to +-F_CLAMP.  ``scratch`` is
-    the forward pass's work array, as in ``_max_node``.
+    evaluated as a softplus and f is clamped to +-F_CLAMP.  Returns (loss,
+    grad), with grad = [dL/dW | dL/db] laid out as ``model.wb``.
+    ``scratch`` is the forward pass's work array, as in ``_max_node``.
     """
-    x = np.atleast_2d(x)
+    x1 = _with_ones(np.atleast_2d(x))
     y = np.asarray(y, dtype=float)
-    k, f = _max_node(model, x, scratch)
+    k, f = _max_node(model.wb, x1, scratch)
     f = np.clip(f, -F_CLAMP, F_CLAMP)
     # -log sigmoid(f) = softplus(-f), -log(1 - sigmoid(f)) = softplus(f)
     loss = float(np.sum(w_10 * y * np.logaddexp(0.0, -f) + w_01 * (1.0 - y) * np.logaddexp(0.0, f)))
     sig = 1.0 / (1.0 + np.exp(-f))
     dldf = w_10 * y * (sig - 1.0) + w_01 * (1.0 - y) * sig
-    # bincount sums each entry's terms in row order, as np.add.at does
-    n_h, n_x = model.w.shape
-    slots = (k[:, None] * n_x + np.arange(n_x)).ravel()
-    grad_w = np.bincount(slots, weights=(dldf[:, None] * x).ravel(), minlength=n_h * n_x)
-    grad_w = grad_w.reshape(n_h, n_x)
-    grad_b = np.bincount(k, weights=dldf, minlength=n_h)
-    return loss, grad_w, grad_b
+    # bincount sums each entry's terms in row order, as np.add.at does; the
+    # ones column makes the b column the sum of dldf
+    n_h, n_c = model.wb.shape
+    slots = (k[:, None] * n_c + np.arange(n_c)).ravel()
+    grad = np.bincount(slots, weights=(dldf[:, None] * x1).ravel(), minlength=n_h * n_c)
+    return loss, grad.reshape(n_h, n_c)
 
 
 @dataclass
@@ -142,23 +169,35 @@ class TrainConfig:
     restarts: int = 1  # independent inits; best validation loss wins
 
 
+def _check_training(n_h: int, hyper: TrainConfig) -> None:
+    """Refuse, by field, parameters that would fail in training or train nothing."""
+    if n_h < 1:
+        raise ValueError(f"n_h: need at least one facet, got {n_h}")
+    for name in ("epochs", "batch", "restarts"):
+        value = getattr(hyper, name)
+        if value < 1:
+            raise ValueError(f"{name}: must be at least 1, got {value}")
+    if not (np.isfinite(hyper.lr) and hyper.lr > 0):
+        raise ValueError(f"lr: must be finite and positive, got {hyper.lr}")
+    if not 0.0 <= hyper.val_frac < 1.0:
+        raise ValueError(f"val_frac: must be in [0, 1), got {hyper.val_frac}")
+
+
 def _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng):
-    """One Adam run from a fresh init; returns (val_loss, w, b, best_epoch, epochs)."""
+    """One Adam run from a fresh init; returns (val_loss, wb, best_epoch, epochs)."""
     # start with the data mean strictly inside the polytope: facet offsets
     # b_fr = -b = +0.5 keep max(o) negative there and the max-gradient alive
-    w = rng.normal(0.0, 0.1, size=(n_h, z_fit.shape[1]))
-    b = np.full(n_h, -0.5)
-    model = PolytopeModel(w, b)
+    model = PolytopeModel(rng.normal(0.0, 0.1, size=(n_h, z_fit.shape[1])), np.full(n_h, -0.5))
+    wb = model.wb  # [W | b], updated in place
     scratch = np.empty((FORWARD_ROWS + 1, n_h))  # the forward pass's blocks, reused
 
-    m_w = np.zeros_like(w)
-    v_w = np.zeros_like(w)
-    m_b = np.zeros_like(b)
-    v_b = np.zeros_like(b)
+    # Adam moments, laid out as wb
+    m = np.zeros_like(wb)
+    v = np.zeros_like(wb)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    best = (np.inf, w.copy(), b.copy(), 0)
+    best = (np.inf, wb.copy(), 0)
     stall = 0
     n_fit = len(z_fit)
     epoch = 0
@@ -171,25 +210,21 @@ def _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng):
         order = rng.permutation(n_fit)
         for lo in range(0, n_fit, hyper.batch):
             idx = order[lo : lo + hyper.batch]
-            loss, gw, gb = loss_and_grad(model, z_fit[idx], y_fit[idx], w_10, w_01, scratch=scratch)
+            loss, grad = loss_and_grad(model, z_fit[idx], y_fit[idx], w_10, w_01, scratch=scratch)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
-            gw /= len(idx)
-            gb /= len(idx)
+            grad /= len(idx)
             step += 1
-            m_w = beta1 * m_w + (1 - beta1) * gw
-            v_w = beta2 * v_w + (1 - beta2) * gw**2
-            m_b = beta1 * m_b + (1 - beta1) * gb
-            v_b = beta2 * v_b + (1 - beta2) * gb**2
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad**2
             c1 = 1 - beta1**step
             c2 = 1 - beta2**step
-            w -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-            b -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+            wb -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
-        val_loss, _, _ = loss_and_grad(model, z_val, y_val, w_10, w_01, scratch=scratch)
+        val_loss, _ = loss_and_grad(model, z_val, y_val, w_10, w_01, scratch=scratch)
         val_loss /= len(z_val)
         if val_loss < best[0] - 1e-12:
-            best = (val_loss, w.copy(), b.copy(), epoch)
+            best = (val_loss, wb.copy(), epoch)
             stall = 0
         else:
             stall += 1
@@ -209,9 +244,13 @@ def train_fr(
     validation slice of the training set.  With hyper.restarts > 1 the run
     repeats from fresh inits and the best validation loss wins (the max
     routing trains one facet per sample, so some inits recruit facets
-    better than others).  Deterministic under hyper.seed.
+    better than others).  Deterministic under hyper.seed.  A parameter that
+    would fail or train nothing (no facets, batches, epochs or restarts, a
+    non-positive lr, a validation slice that leaves no rows to fit) raises
+    ValueError naming it.
     """
     hyper = hyper or TrainConfig()
+    _check_training(n_h, hyper)
     labels = np.asarray(train.label, dtype=float)
     if not (np.any(labels == 0) and np.any(labels == 1)):
         raise ValueError("training set must contain both classes")
@@ -223,22 +262,24 @@ def train_fr(
     z = (train.x - mu_x) / sd_x
 
     n_val = max(1, int(round(len(z) * hyper.val_frac)))
+    if n_val >= len(z):
+        raise ValueError(f"val_frac: {hyper.val_frac} of {len(z)} rows leaves none to fit")
     perm = rng.permutation(len(z))
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     z_fit, y_fit = z[fit_idx], labels[fit_idx]
     z_val, y_val = z[val_idx], labels[val_idx]
 
     best = None
-    for restart in range(max(1, hyper.restarts)):
+    for restart in range(hyper.restarts):
         run = _train_once(z_fit, y_fit, z_val, y_val, n_h, w_10, w_01, hyper, rng)
         if best is None or run[0] < best[0]:
             best = run
             best_restart = restart
-    val_loss, w, b, best_epoch, epochs_run = best
+    val_loss, wb, best_epoch, epochs_run = best
 
     # fold standardization into the facets: o = Wz (x-mu)/sd + bz
-    w_raw = w / sd_x[None, :]
-    b_raw = b - w_raw @ mu_x
+    w_raw = wb[:, :-1] / sd_x[None, :]
+    b_raw = wb[:, -1] - w_raw @ mu_x
     return PolytopeModel(
         w_raw,
         b_raw,

@@ -6,8 +6,8 @@ flow for radial feeders, ray-crossing polygon membership, per-branch 2x2
 admittance stamping, MATPOWER's dense-matrix OPF derivatives, a brute-force
 grid optimizer for a 3-bus OPF, the interior-point Newton system formed and
 solved as one dense matrix, first-order optimality residuals from dense
-derivatives, the max-aggregator's forward pass, and finite-difference
-derivative checks.
+derivatives, the max-aggregator's forward pass and a plain trainer for it,
+and finite-difference derivative checks.
 """
 
 from __future__ import annotations
@@ -536,6 +536,78 @@ def nn_forward(model, x):
     if np.ndim(x) == 1:
         return float(f[0]), float(y[0])
     return f, y
+
+
+def reference_train_fr(x, label, n_h, w_10, w_01, cfg):
+    """(W, b, val_loss) of the max-aggregator trained in two plain steps.
+
+    The same standardization, validation split, restarts, cosine schedule
+    and early stopping as ``train_fr``, with a separate Adam update of W and
+    of b, a forward pass formed as x W^T and then + b over the whole batch,
+    and gradients summed by np.add.at.
+    """
+    labels = np.asarray(label, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    sd[sd == 0] = 1.0
+    z = (x - mu) / sd
+    n_val = max(1, int(round(len(z) * cfg.val_frac)))
+    perm = rng.permutation(len(z))
+    z_val, y_val = z[perm[:n_val]], labels[perm[:n_val]]
+    z_fit, y_fit = z[perm[n_val:]], labels[perm[n_val:]]
+
+    def loss_grad(w, b, zb, yb):
+        o = zb @ w.T
+        o = o + b
+        k = np.argmax(o, axis=1)
+        f = np.clip(o[np.arange(len(o)), k], -30.0, 30.0)
+        loss = float(
+            np.sum(w_10 * yb * np.logaddexp(0.0, -f) + w_01 * (1.0 - yb) * np.logaddexp(0.0, f))
+        )
+        sig = 1.0 / (1.0 + np.exp(-f))
+        dldf = w_10 * yb * (sig - 1.0) + w_01 * (1.0 - yb) * sig
+        gw = np.zeros_like(w)
+        np.add.at(gw, k, dldf[:, None] * zb)
+        gb = np.zeros_like(b)
+        np.add.at(gb, k, dldf)
+        return loss, gw, gb
+
+    best = (np.inf, None, None)
+    for _ in range(cfg.restarts):
+        w = rng.normal(0.0, 0.1, size=(n_h, z.shape[1]))
+        b = np.full(n_h, -0.5)
+        m_w, v_w, m_b, v_b = np.zeros_like(w), np.zeros_like(w), np.zeros_like(b), np.zeros_like(b)
+        run, stall, step = (np.inf, w.copy(), b.copy()), 0, 0
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cfg.lr
+            if cfg.lr_min > 0:
+                phase = (epoch - 1) / max(1, cfg.epochs - 1)
+                lr = cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (1 + np.cos(np.pi * phase))
+            order = rng.permutation(len(z_fit))
+            for lo in range(0, len(z_fit), cfg.batch):
+                idx = order[lo : lo + cfg.batch]
+                _, gw, gb = loss_grad(w, b, z_fit[idx], y_fit[idx])
+                gw, gb = gw / len(idx), gb / len(idx)
+                step += 1
+                m_w = 0.9 * m_w + (1 - 0.9) * gw
+                v_w = 0.999 * v_w + (1 - 0.999) * gw**2
+                m_b = 0.9 * m_b + (1 - 0.9) * gb
+                v_b = 0.999 * v_b + (1 - 0.999) * gb**2
+                c1, c2 = 1 - 0.9**step, 1 - 0.999**step
+                w = w - lr * (m_w / c1) / (np.sqrt(v_w / c2) + 1e-8)
+                b = b - lr * (m_b / c1) / (np.sqrt(v_b / c2) + 1e-8)
+            val_loss = loss_grad(w, b, z_val, y_val)[0] / len(z_val)
+            if val_loss < run[0] - 1e-12:
+                run, stall = (val_loss, w.copy(), b.copy()), 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
+        if run[0] < best[0]:
+            best = run
+    val_loss, w, b = best
+    w_raw = w / sd[None, :]
+    return w_raw, b - w_raw @ mu, val_loss
 
 
 # ---------------------------------------------------------------------------

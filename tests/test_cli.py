@@ -92,6 +92,26 @@ def tiny_artifacts(tmp_path_factory):
     return {"data": data, "fr": fr, "pq": pq, "bundle": bundle}
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--n-hidden", "0", "n_h"),
+        ("--batch", "0", "batch"),
+        ("--epochs", "0", "epochs"),
+        ("--restarts", "0", "restarts"),
+        ("--lr", "0", "lr"),
+        ("--val-frac", "1.0", "val_frac"),
+    ],
+)
+def test_train_fr_refuses_bad_parameters(tiny_artifacts, tmp_path, capsys, flag, value, field):
+    args = {"--n-hidden": "8", "--seed": "3", flag: value}
+    argv = ["train-fr", "--data", str(tiny_artifacts["data"]), "--out", str(tmp_path / "m.json")]
+    code = run(argv + [token for pair in args.items() for token in pair])
+    assert code == 2
+    assert f"ValueError: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_sample_artifact(tiny_artifacts):
     ds = read_csv(tiny_artifacts["data"])
     assert ds.n == 400

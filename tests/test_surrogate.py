@@ -25,8 +25,9 @@ from gridveil.surrogate import (
     train_fr,
     validate_bundle_dict,
 )
+from gridveil.surrogate import _max_node
 
-from oracles import fd_jacobian, nn_forward, rel_err
+from oracles import fd_jacobian, nn_forward, reference_train_fr, rel_err
 
 
 def toy_dataset(x, label, n_pcc=1):
@@ -80,16 +81,16 @@ def test_loss_saturates_to_zero_when_separated():
     model = PolytopeModel(np.array([[1.0]]), np.array([0.0]))
     x = np.array([[-40.0], [40.0]])
     y = np.array([0.0, 1.0])
-    loss, gw, gb = loss_and_grad(model, x, y, 1.0, 1.0)
+    loss, grad = loss_and_grad(model, x, y, 1.0, 1.0)
     assert loss < 1e-12  # floor is exp(-F_CLAMP) per term
-    assert np.max(np.abs(gw)) < 1e-11 and np.max(np.abs(gb)) < 1e-11
+    assert grad.shape == (1, 2) and np.max(np.abs(grad)) < 1e-11
 
 
 def test_loss_unit_weights_match_plain_bce(rng):
     model = PolytopeModel(rng.normal(size=(4, 3)), rng.normal(size=4))
     x = rng.normal(size=(50, 3))
     y = (rng.uniform(size=50) < 0.4).astype(float)
-    loss, _, _ = loss_and_grad(model, x, y, 1.0, 1.0)
+    loss, _ = loss_and_grad(model, x, y, 1.0, 1.0)
     f, prob = nn_forward(model, x)
     plain = -np.sum(y * np.log(prob) + (1 - y) * np.log1p(-prob))
     assert abs(loss - plain) < 1e-12
@@ -99,34 +100,48 @@ def test_loss_weights_scale_terms(rng):
     model = PolytopeModel(rng.normal(size=(3, 2)), rng.normal(size=3))
     x = rng.normal(size=(30, 2))
     y = (rng.uniform(size=30) < 0.5).astype(float)
-    l_1, _, _ = loss_and_grad(model, x, y, 1.0, 0.0)
-    l_0, _, _ = loss_and_grad(model, x, y, 0.0, 1.0)
-    l_w, _, _ = loss_and_grad(model, x, y, 3.0, 0.5)
+    l_1, _ = loss_and_grad(model, x, y, 1.0, 0.0)
+    l_0, _ = loss_and_grad(model, x, y, 0.0, 1.0)
+    l_w, _ = loss_and_grad(model, x, y, 3.0, 0.5)
     assert abs(l_w - (3.0 * l_1 + 0.5 * l_0)) < 1e-10
 
 
-def test_blocked_forward_is_bitwise_the_plain_formula(rng):
-    # 300 rows span three forward blocks; duplicate rows make repeated argmax
-    # nodes, so the gradient sums several terms per node
-    model = PolytopeModel(rng.normal(size=(50, 6)), rng.normal(size=50) * 10)
-    x = rng.normal(size=(300, 6))
-    x[150:] = x[:150]
-    y = (rng.uniform(size=300) < 0.5).astype(float)
+@pytest.mark.parametrize("n_x", [3, 9, 12])
+@pytest.mark.parametrize("n_h", [2, 12, 1000])
+@pytest.mark.parametrize("rows", [2, 3, 127, 128, 129, 130, 257])
+def test_blocked_forward_is_bitwise_the_plain_formula(rows, n_h, n_x):
+    # the fused [x, 1] [W | b]^T blocks against x W^T + b over block edges
+    # (a 1-row tail joins the block before it); repeated rows make repeated
+    # argmax nodes, so the gradient sums several terms per node
+    rng = np.random.default_rng(rows * 10_000 + n_h * 100 + n_x)
+    model = PolytopeModel(rng.normal(size=(n_h, n_x)), rng.normal(size=n_h) * 10)
+    x = rng.normal(size=(rows, n_x))
+    half = rows // 2
+    x[half : 2 * half] = x[:half]
+    y = (rng.uniform(size=rows) < 0.5).astype(float)
     o = x @ model.w.T + model.b
     k = np.argmax(o, axis=1)
-    f = o[np.arange(300), k]
+    f = o[np.arange(rows), k]
     sig = 1.0 / (1.0 + np.exp(-np.clip(f, -30.0, 30.0)))
     dldf = 2.0 * y * (sig - 1.0) + (1.0 - y) * sig
-    gw_ref = np.zeros_like(model.w)
+    gw_ref = np.zeros((n_h, n_x))
     np.add.at(gw_ref, k, dldf[:, None] * x)
-    gb_ref = np.zeros(50)
+    gb_ref = np.zeros(n_h)
     np.add.at(gb_ref, k, dldf)
 
-    _, gw, gb = loss_and_grad(model, x, y, 2.0, 1.0)
-    assert np.array_equal(gw, gw_ref) and np.array_equal(gb, gb_ref)
-    assert np.array_equal(nn_forward(model, x)[0], o.max(axis=1))
-    assert np.array_equal(classify(model, x), (o.max(axis=1) > 0).astype(np.int8))
-    assert nn_forward(model, x[7])[0] == o[7].max()
+    _, grad = loss_and_grad(model, x, y, 2.0, 1.0)
+    assert np.array_equal(grad[:, :n_x], gw_ref) and np.array_equal(grad[:, n_x], gb_ref)
+    k_fused, f_fused = _max_node(model.wb, np.column_stack([x, np.ones(rows)]))
+    assert np.array_equal(k_fused, k) and np.array_equal(f_fused, f)
+    assert np.array_equal(classify(model, x), (f > 0).astype(np.int8))
+
+
+def test_model_keeps_w_and_b_as_views_of_one_array(rng):
+    w, b = rng.normal(size=(4, 3)), rng.normal(size=4)
+    model = PolytopeModel(w, b)
+    assert np.array_equal(model.wb, np.column_stack([w, b]))
+    model.wb[1] = 0.0
+    assert not model.w[1].any() and model.b[1] == 0.0 and w[1].all()
 
 
 def tie_free_batch(rng, model, rows, gap=1e-4):
@@ -146,7 +161,7 @@ def test_loss_gradient_matches_fd(rng):
         x = tie_free_batch(rng, model, rows=8)
         y = (rng.uniform(size=8) < 0.5).astype(float)
         w_10, w_01 = float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 4))
-        loss, gw, gb = loss_and_grad(model, x, y, w_10, w_01)
+        loss, grad = loss_and_grad(model, x, y, w_10, w_01)
 
         def loss_of(theta):
             m = PolytopeModel(theta[: n_h * n_x].reshape(n_h, n_x), theta[n_h * n_x :])
@@ -154,7 +169,7 @@ def test_loss_gradient_matches_fd(rng):
 
         theta0 = np.concatenate([model.w.ravel(), model.b])
         fd = fd_jacobian(loss_of, theta0, h=1e-6)[0]
-        assert rel_err(fd, np.concatenate([gw.ravel(), gb])) < 1e-5
+        assert rel_err(fd, np.concatenate([grad[:, :n_x].ravel(), grad[:, n_x]])) < 1e-5
 
 
 # ----------------------------------------------------------------- training
@@ -208,6 +223,53 @@ def test_train_is_deterministic(rng):
     a = train_fr(ds, 3, 2.0, 1.0, cfg)
     b = train_fr(ds, 3, 2.0, 1.0, cfg)
     assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(lr=2e-2, lr_min=1e-4, epochs=40, batch=128, seed=4, restarts=2),
+        TrainConfig(lr=5e-2, epochs=300, batch=256, seed=6, patience=3),
+    ],
+    ids=["cosine-restarts", "early-stop"],
+)
+def test_train_is_bitwise_the_two_step_reference(rng, cfg):
+    # 700 rows: 70 validation rows and batches of 128 or 256 with a 118-row
+    # tail, so every product has >= 2 rows and >= 2 facets
+    def signed(r):
+        return max(abs(r[0] - 0.5), abs(r[1] - 0.5)) - 0.2
+
+    x, lab = margin_cloud(rng, 2000, signed, margin=0.0)
+    x, lab = x[:700], lab[:700]
+    model = train_fr(toy_dataset(x, lab), 6, 2.0, 1.0, cfg)
+    w, b, val_loss = reference_train_fr(x, lab, 6, 2.0, 1.0, cfg)
+    assert np.array_equal(model.w, w) and np.array_equal(model.b, b)
+    assert model.meta["val_loss"] == val_loss
+    if cfg.patience == 3:
+        assert model.meta["epochs_run"] < cfg.epochs
+
+
+@pytest.mark.parametrize(
+    "n_h, change, field",
+    [
+        (0, {}, "n_h"),
+        (-3, {}, "n_h"),
+        (4, {"batch": 0}, "batch"),
+        (4, {"epochs": 0}, "epochs"),
+        (4, {"restarts": 0}, "restarts"),
+        (4, {"lr": 0.0}, "lr"),
+        (4, {"lr": float("nan")}, "lr"),
+        (4, {"lr": float("inf")}, "lr"),
+        (4, {"val_frac": 1.0}, "val_frac"),
+        (4, {"val_frac": -0.1}, "val_frac"),
+        (4, {"val_frac": 0.99}, "val_frac"),
+    ],
+)
+def test_train_refuses_bad_parameters_by_field(rng, n_h, change, field):
+    x, lab = margin_cloud(rng, 60, lambda r: r[0] - 0.5)
+    ds = toy_dataset(x[:40], lab[:40])
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        train_fr(ds, n_h, 1.0, 1.0, TrainConfig(**{"epochs": 2, **change}))
 
 
 def test_heavier_infeasible_weight_cuts_leakage(ds1):
