@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -106,34 +107,34 @@ def test_loss_weights_scale_terms(rng):
     assert abs(l_w - (3.0 * l_1 + 0.5 * l_0)) < 1e-10
 
 
-@pytest.mark.parametrize("n_x", [3, 9, 12])
-@pytest.mark.parametrize("n_h", [2, 12, 1000])
-@pytest.mark.parametrize("rows", [2, 3, 127, 128, 129, 130, 257])
-def test_blocked_forward_is_bitwise_the_plain_formula(rows, n_h, n_x):
+def test_blocked_forward_is_bitwise_the_plain_formula(rng):
     # the fused [x, 1] [W | b]^T blocks against x W^T + b over block edges
     # (a 1-row tail joins the block before it); repeated rows make repeated
     # argmax nodes, so the gradient sums several terms per node
-    rng = np.random.default_rng(rows * 10_000 + n_h * 100 + n_x)
-    model = PolytopeModel(rng.normal(size=(n_h, n_x)), rng.normal(size=n_h) * 10)
-    x = rng.normal(size=(rows, n_x))
-    half = rows // 2
-    x[half : 2 * half] = x[:half]
-    y = (rng.uniform(size=rows) < 0.5).astype(float)
-    o = x @ model.w.T + model.b
-    k = np.argmax(o, axis=1)
-    f = o[np.arange(rows), k]
-    sig = 1.0 / (1.0 + np.exp(-np.clip(f, -30.0, 30.0)))
-    dldf = 2.0 * y * (sig - 1.0) + (1.0 - y) * sig
-    gw_ref = np.zeros((n_h, n_x))
-    np.add.at(gw_ref, k, dldf[:, None] * x)
-    gb_ref = np.zeros(n_h)
-    np.add.at(gb_ref, k, dldf)
+    shapes = itertools.product([2, 3, 127, 128, 129, 130, 257], [2, 12, 1000], [3, 9, 12])
+    for rows, n_h, n_x in shapes:
+        model = PolytopeModel(rng.normal(size=(n_h, n_x)), rng.normal(size=n_h) * 10)
+        x = rng.normal(size=(rows, n_x))
+        half = rows // 2
+        x[half : 2 * half] = x[:half]
+        y = (rng.uniform(size=rows) < 0.5).astype(float)
+        o = x @ model.w.T + model.b
+        k = np.argmax(o, axis=1)
+        f = o[np.arange(rows), k]
+        sig = 1.0 / (1.0 + np.exp(-np.clip(f, -30.0, 30.0)))
+        dldf = 2.0 * y * (sig - 1.0) + (1.0 - y) * sig
+        gw_ref = np.zeros((n_h, n_x))
+        np.add.at(gw_ref, k, dldf[:, None] * x)
+        gb_ref = np.zeros(n_h)
+        np.add.at(gb_ref, k, dldf)
 
-    _, grad = loss_and_grad(model, x, y, 2.0, 1.0)
-    assert np.array_equal(grad[:, :n_x], gw_ref) and np.array_equal(grad[:, n_x], gb_ref)
-    k_fused, f_fused = _max_node(model.wb, np.column_stack([x, np.ones(rows)]))
-    assert np.array_equal(k_fused, k) and np.array_equal(f_fused, f)
-    assert np.array_equal(classify(model, x), (f > 0).astype(np.int8))
+        shape = f"{rows} rows, {n_h} facets, {n_x} inputs"
+        _, grad = loss_and_grad(model, x, y, 2.0, 1.0)
+        assert np.array_equal(grad[:, :n_x], gw_ref), shape
+        assert np.array_equal(grad[:, n_x], gb_ref), shape
+        k_fused, f_fused = _max_node(model.wb, np.column_stack([x, np.ones(rows)]))
+        assert np.array_equal(k_fused, k) and np.array_equal(f_fused, f), shape
+        assert np.array_equal(classify(model, x), (f > 0).astype(np.int8)), shape
 
 
 def test_model_keeps_w_and_b_as_views_of_one_array(rng):
