@@ -125,28 +125,8 @@ def gate_offer(name: str, seed: int, rows: int, workdir: str) -> dict:
     n_h, w_10, hyper = GATE_TRAINING[name]
     t0 = time.perf_counter()
     fr = surrogate.train_fr(train, n_h=n_h, w_10=w_10, w_01=1.0, hyper=hyper)
-    feasible = train.label == 0
-    pcc = []
-    for u in range(train.n_pcc):
-        pair = {}
-        for key, flow, target in (("p", train.p_pcc, "active"), ("q", train.q_pcc, "reactive")):
-            pair[key] = surrogate.fit_quadratic(
-                train.x[feasible], -flow[feasible, u] / case.base_mva, label=target, pcc_index=u
-            )
-        pcc.append(pair)
-    space = sampling.sample_space(case)
-    ds_id = next(iter(case.pcc_map))
-    bundle = surrogate.SurrogateBundle(
-        ds_id=ds_id,
-        n_pcc=space.n_pcc,
-        n_dg=case.n_gen,
-        x_min=space.x_min,
-        x_max=space.x_max,
-        fr=fr,
-        pcc=pcc,
-        charts=list(case.charts_for(ds_id)) if case.dg_charts else [],
-        costs=[DG_COST] * case.n_gen,
-    )
+    pcc = surrogate.fit_pcc(train, case.base_mva)
+    bundle = surrogate.offer_bundle(case, fr, pcc, [DG_COST] * case.n_gen)
     path = os.path.join(workdir, f"{name}-gate-bundle.json")
     surrogate.export_bundle(bundle, path)
     return {"offer": "gate", "case": name, "seed": seed, "rows": rows,

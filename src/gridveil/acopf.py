@@ -437,7 +437,6 @@ class OpfSolution:
     status: str  # optimal | iteration_limit (stopped at the cap) | infeasible (a breakdown)
     iterations: int
     solve_time: float
-    constraint_violation: float
     lam: np.ndarray  # equality multipliers (user rows)
     mu: np.ndarray  # inequality multipliers (user rows)
     mu_box: np.ndarray  # bound multipliers, in box_bounds order
@@ -863,7 +862,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         )
 
     elapsed = time.perf_counter() - t0
-    violation = float(max(np.max(np.abs(g)) if neq else 0.0, np.max(h), 0.0))
     if converged:
         status = "optimal"
     elif message:
@@ -882,7 +880,6 @@ def solve_nlp(problem: NlpProblem, opts: NlpOptions | None = None) -> OpfSolutio
         status=status,
         iterations=it,
         solve_time=elapsed,
-        constraint_violation=violation,
         lam=lam,
         mu=mu[:nh],
         mu_box=mu[nh:],

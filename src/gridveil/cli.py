@@ -40,11 +40,13 @@ from .surrogate import (
     TrainConfig,
     classification_metrics,
     export_bundle,
-    fit_quadratic,
+    fit_pcc,
     fr_from_dict,
     fr_to_dict,
     import_bundle,
+    offer_bundle,
     pcc_from_dict,
+    pcc_targets,
     pcc_to_dict,
     regression_metrics,
     train_fr,
@@ -136,7 +138,7 @@ def save_solution(sol, path, command: str, case_name: str, mode: str) -> None:
 
 
 def load_solution(path) -> OpfSolution:
-    """A saved coupled solve; the file keeps no multipliers or violation."""
+    """A saved coupled solve; the file keeps no multipliers."""
     d = _read_artifact(path, "pp_solution", "coupled-solve solution")
     return OpfSolution(
         x=np.asarray(d["x"], dtype=float),
@@ -144,7 +146,6 @@ def load_solution(path) -> OpfSolution:
         status=d["status"],
         iterations=int(d["iterations"]),
         solve_time=float(d["solve_time"]),
-        constraint_violation=float("nan"),
         lam=np.zeros(0),
         mu=np.zeros(0),
         mu_box=np.zeros(0),
@@ -208,25 +209,15 @@ def _cmd_train_pq(ns, command: str) -> int:
     case = _case(ns.case)
     data = read_csv(ns.data)
     train, test = split_dataset(data, ns.test_frac, seed=ns.split_seed)
-    base = case.base_mva
-    feas_tr = train.label == 0
+    models = fit_pcc(train, case.base_mva)
     feas_te = test.label == 0
-    if not feas_tr.any():
-        raise ValueError("no feasible rows to fit on")
-    models, meta = [], {"command": command, "data": str(ns.data)}
-    for u in range(data.n_pcc):
-        pair = {}
-        for key, raw in (("p", train.p_pcc), ("q", train.q_pcc)):
-            target = "active" if key == "p" else "reactive"
-            m = fit_quadratic(
-                train.x[feas_tr], -raw[feas_tr, u] / base, label=target, pcc_index=u
-            )
-            te_raw = (test.p_pcc if key == "p" else test.q_pcc)[feas_te, u]
-            rmse, _ = regression_metrics(m, test.x[feas_te], -te_raw / base)
+    targets = dict(zip("pq", pcc_targets(test, case.base_mva)))
+    meta = {"command": command, "data": str(ns.data)}
+    for u, pair in enumerate(models):
+        for key, target in (("p", "active"), ("q", "reactive")):
+            rmse, _ = regression_metrics(pair[key], test.x[feas_te], targets[key][feas_te, u])
             meta[f"rmse_{key}_{u + 1}"] = rmse
             print(f"pcc {u + 1} {target}: test rmse {rmse:.2e} pu")
-            pair[key] = m
-        models.append(pair)
     save_pq_models(models, ns.out, meta=meta)
     print(f"{len(models)} coupling-regression pairs -> {ns.out}")
     return 0
@@ -243,9 +234,6 @@ def _parse_cost(text: str) -> CostPoly:
 
 def _cmd_bundle(ns, command: str) -> int:
     case = _case(ns.case)
-    ds_id = ns.ds_id if ns.ds_id is not None else next(iter(case.pcc_map), None)
-    if ds_id is None:
-        raise UsageError("case has no coupling points; pass --ds-id explicitly")
     space = sample_space(case)
     fr = load_fr_model(ns.fr, space.n_x)
     pcc = load_pq_models(ns.pq, space.n_x)
@@ -257,21 +245,11 @@ def _cmd_bundle(ns, command: str) -> int:
             raise UsageError(f"expected 1 or {case.n_gen} --dg-cost values, got {len(costs)}")
     else:
         costs = [g.cost for g in case.generators]
-    bundle = SurrogateBundle(
-        ds_id=ds_id,
-        n_pcc=space.n_pcc,
-        n_dg=case.n_gen,
-        x_min=space.x_min,
-        x_max=space.x_max,
-        fr=fr,
-        pcc=pcc,
-        charts=case.all_dg_charts(),
-        costs=costs,
-    )
+    bundle = offer_bundle(case, fr, pcc, costs)
     export_bundle(bundle, ns.out)
     # provenance stays DS-side: the case hash would confirm a guessed network
     write_sidecar(ns.out, {"command": command, "case_hash": case.text_hash()})
-    print(f"DS {ds_id} bundle: {fr.n_h} facets, {space.n_pcc} pcc, {case.n_gen} dg -> {ns.out}")
+    print(f"DS {bundle.ds_id} bundle: {fr.n_h} facets, {space.n_pcc} pcc, {case.n_gen} dg -> {ns.out}")
     return 0
 
 
@@ -424,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bundle", help="assemble the DS-side disclosure bundle")
     p.add_argument("--case", required=True)
-    p.add_argument("--ds-id", type=int, default=None)
     p.add_argument("--fr", required=True, help="polytope model JSON")
     p.add_argument("--pq", required=True, help="coupling-regression JSON")
     p.add_argument(

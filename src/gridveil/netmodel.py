@@ -229,6 +229,15 @@ class NetworkCase:
             out.append(chart)
         return out
 
+    def single_ds(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(ds_id, couplings) of a single-DS case; ValueError naming the case otherwise."""
+        if len(self.pcc_map) != 1:
+            raise ValueError(
+                f"case {self.name}: expected a single-DS case (one pcc block), "
+                f"found {len(self.pcc_map)} pcc blocks"
+            )
+        return next(iter(self.pcc_map.items()))
+
     def all_dg_charts(self) -> list[PQChart]:
         """The charts that bind this case's DGs in an OPF.
 
@@ -547,9 +556,7 @@ def build_integrated(ts: NetworkCase, ds_list: list[NetworkCase]) -> NetworkCase
 
     next_id = max(b.id for b in ts.buses) + 1
     for ds in ds_list:
-        if len(ds.pcc_map) != 1:
-            raise ValueError(f"DS case {ds.name!r} must declare exactly one pcc block")
-        ds_id, couplings = next(iter(ds.pcc_map.items()))
+        ds_id, couplings = ds.single_ds()
         id_of: dict[int, int] = {}
         for ds_bus, ts_bus in couplings:
             try:

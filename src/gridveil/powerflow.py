@@ -161,7 +161,6 @@ class LimitReport:
     ok: bool
     v_violations: list = field(default_factory=list)  # (bus_id, vm, lo, hi)
     flow_violations: list = field(default_factory=list)  # (branch_idx, s_end_max, s_max)
-    max_v_err: float = 0.0
     max_flow_ratio: float = 0.0
 
 
@@ -175,7 +174,6 @@ def check_limits(case: NetworkCase, v: np.ndarray, tol: float = 1e-9) -> LimitRe
     for i, b in enumerate(case.buses):
         lo, hi = b.v_min, b.v_max
         err = max(lo - vm[i], vm[i] - hi)
-        rep.max_v_err = max(rep.max_v_err, err)
         if err > tol:
             rep.ok = False
             rep.v_violations.append((b.id, float(vm[i]), lo, hi))
@@ -217,9 +215,7 @@ def ds_response(
     line rating holds.  PCC flows are reported in the export orientation, so
     a distribution system drawing power has negative p_pcc.
     """
-    if len(case.pcc_map) != 1:
-        raise ValueError("ds_response expects a single-DS case")
-    couplings = next(iter(case.pcc_map.values()))
+    _, couplings = case.single_ds()
     if len(v_pcc) != len(couplings):
         raise ValueError(f"expected {len(couplings)} PCC voltages, got {len(v_pcc)}")
     if len(p_dg) != case.n_gen or len(q_dg) != case.n_gen:
@@ -426,9 +422,7 @@ def ds_response_batch(case: NetworkCase, x: np.ndarray):
     NaN on every infeasible row.
     """
     tol, max_iter = NEWTON_TOL, 30
-    if len(case.pcc_map) != 1:
-        raise ValueError("ds_response_batch expects a single-DS case")
-    r, n_gen = len(next(iter(case.pcc_map.values()))), case.n_gen
+    r, n_gen = len(case.single_ds()[1]), case.n_gen
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != r + 2 * n_gen:
         raise ValueError(f"expected rows of {r} PCC voltages and 2 x {n_gen} DG setpoints")

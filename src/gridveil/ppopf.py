@@ -294,7 +294,6 @@ def verify_dispatch(
             ok=not v_rows and not flow_rows,
             v_violations=v_rows,
             flow_violations=flow_rows,
-            max_v_err=max((max(lo - vm, vm - hi) for _, vm, lo, hi in v_rows), default=0.0),
             max_flow_ratio=max((s / cap for _, s, cap in flow_rows), default=0.0),
         )
     if not sol.optimal:

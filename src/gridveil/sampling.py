@@ -80,9 +80,7 @@ class SampleSpace:
 
 def sample_space(case: NetworkCase) -> SampleSpace:
     """Sampling box of a single-DS case: PCC voltage bands and DG chart boxes."""
-    if len(case.pcc_map) != 1:
-        raise ValueError("expected a single-DS case")
-    ds_id, couplings = next(iter(case.pcc_map.items()))
+    ds_id, couplings = case.single_ds()
     charts = case.charts_for(ds_id)
     names, lo, hi = [], [], []
     for u, (ds_bus, _) in enumerate(couplings, start=1):

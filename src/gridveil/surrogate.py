@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import CostPoly, PQChart, polygon_from_vertices
-from .sampling import Dataset, json_text
+from .netmodel import CostPoly, NetworkCase, PQChart, polygon_from_vertices
+from .sampling import Dataset, json_text, sample_space
 
 F_CLAMP = 30.0  # sigmoid saturates to within 1e-13 beyond this
 FORWARD_ROWS = 128  # rows of [x, 1] [W | b]^T formed at once, 1 MB at 1000 facets
@@ -479,6 +479,31 @@ def fit_quadratic(x: np.ndarray, target: np.ndarray, label: str = "", pcc_index:
     return QuadraticModel(a, b, c, target=label, pcc_index=pcc_index)
 
 
+def pcc_targets(data: Dataset, base_mva: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) regression targets, each (n, n_pcc): the per-unit power each PCC draws.
+
+    A dataset records PCC flows in the export orientation, MW/MVAr; the TS
+    sees the DS as a load, so a target is the export negated over the base.
+    """
+    return -data.p_pcc / base_mva, -data.q_pcc / base_mva
+
+
+def fit_pcc(train: Dataset, base_mva: float) -> list[dict]:
+    """Per PCC, {"p", "q"} quadratics fitted on the feasible rows of ``pcc_targets``."""
+    feas = train.label == 0
+    if not feas.any():
+        raise ValueError("no feasible rows to fit on")
+    x = train.x[feas]
+    targets = dict(zip("pq", pcc_targets(train, base_mva)))
+    return [
+        {
+            key: fit_quadratic(x, targets[key][feas, u], label=label, pcc_index=u)
+            for key, label in (("p", "active"), ("q", "reactive"))
+        }
+        for u in range(train.n_pcc)
+    ]
+
+
 def regression_metrics(model: QuadraticModel, x: np.ndarray, target: np.ndarray):
     """(rmse, mae) of the model on the given rows."""
     err = model.predict(np.atleast_2d(x)) - np.asarray(target, float)
@@ -522,6 +547,24 @@ class SurrogateBundle:
     @property
     def n_x(self) -> int:
         return self.n_pcc + 2 * self.n_dg
+
+
+def offer_bundle(
+    case: NetworkCase, fr: PolytopeModel, pcc: list[dict], costs: list[CostPoly]
+) -> SurrogateBundle:
+    """The bundle of a single-DS case: its pcc block's id, sample_space box and DG charts."""
+    space = sample_space(case)
+    return SurrogateBundle(
+        ds_id=case.single_ds()[0],
+        n_pcc=space.n_pcc,
+        n_dg=case.n_gen,
+        x_min=space.x_min,
+        x_max=space.x_max,
+        fr=fr,
+        pcc=pcc,
+        charts=case.all_dg_charts(),
+        costs=costs,
+    )
 
 
 class BundleSchemaError(ValueError):

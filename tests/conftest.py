@@ -3,8 +3,8 @@ import pytest
 
 from gridveil.acopf import KktBlocks
 from gridveil.netmodel import CostPoly, build_integrated, bundled_case, parse_case
-from gridveil.sampling import generate_dataset, sample_space, split_dataset
-from gridveil.surrogate import SurrogateBundle, TrainConfig, fit_quadratic, train_fr
+from gridveil.sampling import generate_dataset, split_dataset
+from gridveil.surrogate import TrainConfig, fit_pcc, offer_bundle, train_fr
 
 from oracles import dense_form_args
 
@@ -60,69 +60,21 @@ def integrated(ts30, ds1, ds2, ds3):
     return build_integrated(ts30, [ds1, ds2, ds3])
 
 
-def train_bundle(
-    case,
-    ds_id: int,
-    n_samples: int,
-    n_h: int,
-    cfg: TrainConfig,
-    w_10: float = 2.0,
-    sample_seed: int = 100,
-    split_seed: int = 7,
-    jobs: int | None = 1,
-    dg_cost: CostPoly = CostPoly(0.02, 20.0),
-):
-    """Sample, train and wrap one DS into a disclosure bundle.
-
-    Returns (bundle, dataset, test split, metrics-ready model) so callers can
-    reuse the expensive artifacts.
-    """
-    from gridveil.surrogate import classification_metrics
-
-    data = generate_dataset(case, n_samples, seed=sample_seed + ds_id, jobs=jobs)
-    train, test = split_dataset(data, 0.2, seed=split_seed)
-    fr = train_fr(train, n_h=n_h, w_10=w_10, w_01=1.0, hyper=cfg)
-    space = sample_space(case)
-    feas = train.label == 0
-    base = case.base_mva
-    pcc = []
-    for u in range(space.n_pcc):
-        pcc.append(
-            {
-                "p": fit_quadratic(
-                    train.x[feas], -train.p_pcc[feas, u] / base, label="active", pcc_index=u
-                ),
-                "q": fit_quadratic(
-                    train.x[feas], -train.q_pcc[feas, u] / base, label="reactive", pcc_index=u
-                ),
-            }
-        )
-    charts = case.charts_for(ds_id) if case.dg_charts else []
-    bundle = SurrogateBundle(
-        ds_id=ds_id,
-        n_pcc=space.n_pcc,
-        n_dg=case.n_gen,
-        x_min=space.x_min,
-        x_max=space.x_max,
-        fr=fr,
-        pcc=pcc,
-        charts=list(charts),
-        costs=[dg_cost] * case.n_gen,
-    )
-    metrics = classification_metrics(fr, test)
-    return bundle, data, test, metrics
+def train_bundle(case, n_samples: int, n_h: int, cfg: TrainConfig):
+    """Sample (seed 100 + the DS id), train and wrap one DS into a disclosure bundle."""
+    data = generate_dataset(case, n_samples, seed=100 + case.single_ds()[0], jobs=1)
+    train, _ = split_dataset(data, 0.2, seed=7)
+    fr = train_fr(train, n_h=n_h, w_10=2.0, w_01=1.0, hyper=cfg)
+    costs = [CostPoly(0.02, 20.0)] * case.n_gen
+    return offer_bundle(case, fr, fit_pcc(train, case.base_mva), costs)
 
 
 @pytest.fixture(scope="session")
 def quick_bundles(ds1, ds2, ds3):
     """Small but usable bundles for the coupled-OPF and benchmark tests."""
-    b1, *_ = train_bundle(
-        ds1, 1, 2000, 12, TrainConfig(lr=3e-3, epochs=150, seed=3, restarts=2)
-    )
+    b1 = train_bundle(ds1, 2000, 12, TrainConfig(lr=3e-3, epochs=150, seed=3, restarts=2))
     cfg = TrainConfig(lr=1e-2, lr_min=1e-4, epochs=150, patience=10**9, seed=3)
-    b2, *_ = train_bundle(ds2, 2, 6000, 60, cfg)
-    b3, *_ = train_bundle(ds3, 3, 6000, 60, cfg)
-    return {1: b1, 2: b2, 3: b3}
+    return {1: b1, 2: train_bundle(ds2, 6000, 60, cfg), 3: train_bundle(ds3, 6000, 60, cfg)}
 
 
 @pytest.fixture()

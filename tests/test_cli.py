@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from gridveil.bench import report_from_json, summarize
-from gridveil.cli import run
-from gridveil.netmodel import bundled_case
-from gridveil.sampling import read_csv
-from gridveil.surrogate import export_bundle, import_bundle
+from gridveil.cli import load_fr_model, load_pq_models, run
+from gridveil.netmodel import CostPoly, bundled_case
+from gridveil.sampling import read_csv, sample_space
+from gridveil.surrogate import export_bundle, import_bundle, offer_bundle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,13 +24,17 @@ def bundle_files(quick_bundles, tmp_path_factory):
     return paths
 
 
+def coupled(bundle_files) -> list[str]:
+    """--attach for ds1-ds3, then --bundle for each bundle file."""
+    attach = [t for ds in ("ds1", "ds2", "ds3") for t in ("--attach", ds)]
+    return attach + [t for b in bundle_files for t in ("--bundle", b)]
+
+
 @pytest.fixture(scope="module")
 def pp_solution_file(bundle_files, tmp_path_factory):
     out = tmp_path_factory.mktemp("sol") / "pp.json"
     args = ["solve", "--case", "ts30", "--mode", "pp", "--out", str(out)]
-    for b in bundle_files:
-        args += ["--bundle", b]
-    assert run(args) == 0
+    assert run(args + [t for b in bundle_files for t in ("--bundle", b)]) == 0
     return str(out)
 
 
@@ -166,6 +170,30 @@ def test_bundle_names_the_bad_field_of_a_model_file(
     assert f"{bad}: {field}" in capsys.readouterr().err
 
 
+def test_bundle_is_the_offer_of_its_models(tiny_artifacts, tmp_path):
+    case = bundled_case("ds1")
+    n_x = sample_space(case).n_x
+    fr = load_fr_model(tiny_artifacts["fr"], n_x)
+    pcc = load_pq_models(tiny_artifacts["pq"], n_x)
+    bundle = offer_bundle(case, fr, pcc, [CostPoly(0.02, 20.0)] * case.n_gen)
+    export_bundle(bundle, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_bytes() == tiny_artifacts["bundle"].read_bytes()
+
+
+@pytest.mark.parametrize("case, blocks", [("ieee33", 0), ("ts30", 3)])
+@pytest.mark.parametrize("command", ["sample", "bundle"])
+def test_case_without_one_ds_is_refused_by_name(
+    tiny_artifacts, tmp_path, capsys, command, case, blocks
+):
+    out = tmp_path / "out"
+    extra = {"sample": ["--n", "10", "--seed", "1"],
+             "bundle": ["--fr", str(tiny_artifacts["fr"]), "--pq", str(tiny_artifacts["pq"])]}
+    assert run([command, "--case", case, *extra[command], "--out", str(out)]) == 2
+    want = f"case {case}: expected a single-DS case (one pcc block), found {blocks} pcc blocks"
+    assert f"ValueError: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bundle_rejects_duplicate_ds(tiny_artifacts, tmp_path, capsys):
     b = str(tiny_artifacts["bundle"])
     code = run(["solve", "--case", "ts30", "--mode", "pp",
@@ -206,11 +234,7 @@ def test_solve_pp_and_verify(pp_solution_file, bundle_files, capsys, tmp_path):
 
     rep_out = tmp_path / "verify.json"
     args = ["verify", "--ts", "ts30", "--solution", pp_solution_file,
-            "--out", str(rep_out)]
-    for ds in ("ds1", "ds2", "ds3"):
-        args += ["--attach", ds]
-    for b in bundle_files:
-        args += ["--bundle", b]
+            "--out", str(rep_out), *coupled(bundle_files)]
     assert run(args) == 0
     out = capsys.readouterr().out
     assert "feasible" in out
@@ -226,11 +250,7 @@ def test_verify_names_a_dg_outside_its_chart(pp_solution_file, bundle_files, tmp
     sol["x_ds"]["3"][r] += 50.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(sol))
-    args = ["verify", "--ts", "ts30", "--solution", str(bad)]
-    for ds in ("ds1", "ds2", "ds3"):
-        args += ["--attach", ds]
-    for b in bundle_files:
-        args += ["--bundle", b]
+    args = ["verify", "--ts", "ts30", "--solution", str(bad), *coupled(bundle_files)]
     assert run(args) == 2
     out = capsys.readouterr().out
     assert "infeasible" in out and "DS 3 DG 1" in out
@@ -243,11 +263,7 @@ def test_verify_names_a_nan_setpoint(pp_solution_file, bundle_files, tmp_path, c
     sol["x_ds"]["3"][r] = float("nan")  # json writes NaN, and reads it back
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(sol))
-    args = ["verify", "--ts", "ts30", "--solution", str(bad)]
-    for ds in ("ds1", "ds2", "ds3"):
-        args += ["--attach", ds]
-    for b in bundle_files:
-        args += ["--bundle", b]
+    args = ["verify", "--ts", "ts30", "--solution", str(bad), *coupled(bundle_files)]
     assert run(args) == 2
     out = capsys.readouterr().out
     assert "infeasible" in out and "DS 3 DG 1" in out and "not finite" in out
@@ -258,11 +274,7 @@ def test_verify_rejects_standard_solution(tmp_path, bundle_files, capsys):
     case = Path(__file__).parent / "golden" / "two_bus.case"
     assert run(["solve", "--case", str(case), "--mode", "standard",
                 "--out", str(out)]) == 0
-    args = ["verify", "--ts", "ts30", "--solution", str(out)]
-    for ds in ("ds1", "ds2", "ds3"):
-        args += ["--attach", ds]
-    for b in bundle_files:
-        args += ["--bundle", b]
+    args = ["verify", "--ts", "ts30", "--solution", str(out), *coupled(bundle_files)]
     assert run(args) == 2
 
 
@@ -273,11 +285,7 @@ def test_bench_and_report_commands(bundle_files, tmp_path, capsys):
     rep = tmp_path / "bench.json"
     hist = tmp_path / "bench.csv"
     args = ["bench", "--ts", "ts30", "--trials", "1", "--seed", "5",
-            "--out", str(rep), "--hist", str(hist)]
-    for ds in ("ds1", "ds2", "ds3"):
-        args += ["--attach", ds]
-    for b in bundle_files:
-        args += ["--bundle", b]
+            "--out", str(rep), "--hist", str(hist), *coupled(bundle_files)]
     assert run(args) == 0
     bench_out = capsys.readouterr().out
     assert "feasibility" in bench_out

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridveil.netmodel import CostPoly, polygon_from_vertices
-from gridveil.sampling import Dataset, generate_dataset, split_dataset
+from gridveil.sampling import Dataset, generate_dataset, sample_space, split_dataset
 from gridveil.surrogate import (
     BundleSchemaError,
     PolytopeModel,
@@ -18,9 +18,11 @@ from gridveil.surrogate import (
     classification_metrics,
     classify,
     export_bundle,
+    fit_pcc,
     fit_quadratic,
     import_bundle,
     loss_and_grad,
+    offer_bundle,
     prune_facets,
     regression_metrics,
     train_fr,
@@ -404,6 +406,40 @@ def test_fit_quadratic_residual_orthogonality(rng):
     cols = [np.ones(80), x[:, 0], x[:, 1], x[:, 0] ** 2, x[:, 0] * x[:, 1], x[:, 1] ** 2]
     for col in cols:
         assert abs(col @ resid) < 1e-8
+
+
+def test_fit_pcc_equals_hand_written_fits(ds2):
+    data = generate_dataset(ds2, 600, seed=5, jobs=1)
+    feas = data.label == 0
+    base = ds2.base_mva
+    models = fit_pcc(data, base)
+    assert len(models) == data.n_pcc == 2
+    for u, pair in enumerate(models):
+        for key, flow, label in (("p", data.p_pcc, "active"), ("q", data.q_pcc, "reactive")):
+            want, got = fit_quadratic(data.x[feas], -flow[feas, u] / base), pair[key]
+            assert (got.target, got.pcc_index, got.c_quad) == (label, u, want.c_quad)
+            assert np.array_equal(got.a_quad, want.a_quad)
+            assert np.array_equal(got.b_quad, want.b_quad)
+
+
+def test_fit_pcc_refuses_a_set_without_feasible_rows(rng):
+    data = toy_dataset(rng.uniform(size=(40, 3)), np.ones(40))
+    with pytest.raises(ValueError, match="no feasible rows to fit on"):
+        fit_pcc(data, 100.0)
+
+
+@pytest.mark.parametrize("name, ds_id", [("ds1", 1), ("ds2", 2), ("ds3", 3)])
+def test_offer_bundle_reads_box_charts_and_id_from_the_case(request, rng, name, ds_id):
+    case = request.getfixturevalue(name)
+    space = sample_space(case)
+    fr = PolytopeModel(rng.normal(size=(4, space.n_x)), rng.normal(size=4))
+    costs = [CostPoly(0.02, 20.0)] * case.n_gen
+    bundle = offer_bundle(case, fr, [], costs)
+    assert list(case.pcc_map) == [bundle.ds_id] == [ds_id]
+    assert (bundle.n_pcc, bundle.n_dg) == (space.n_pcc, case.n_gen)
+    assert np.array_equal([bundle.x_min, bundle.x_max], [space.x_min, space.x_max])
+    assert [c.vertices for c in bundle.charts] == [c.vertices for c in case.all_dg_charts()]
+    assert bundle.fr is fr and bundle.costs == costs
 
 
 def test_regression_metrics_basics():
